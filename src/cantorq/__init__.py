@@ -54,10 +54,10 @@ from .measure import (
 from .oracle import (
     EmptyCellError,
     OracleError,
-    Partition,
     RefinementDepthError,
     cell_measures,
     dp_optimal,
+    dp_optimal_upto,
     exact_distortion,
     interval_measures,
     lloyd_step,

@@ -22,7 +22,7 @@ from .closedform import (
     distortion_closed_form,
     quantization_error,
 )
-from .measure import Word
+from .measure import MAX_ENUM_LEVEL, Word
 
 
 def fmt_rational(f: Fraction) -> str:
@@ -121,16 +121,25 @@ def cmd_error_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # checked first, so that a huge --level never builds 2**level
+    if args.level > MAX_ENUM_LEVEL:
+        print(f"error: --level {args.level} exceeds the enumeration cap "
+              f"{MAX_ENUM_LEVEL}", file=sys.stderr)
+        return 2
     if args.max_n > 2 ** args.level:
         print(f"error: max-n {args.max_n} exceeds 2**level = {2 ** args.level}",
               file=sys.stderr)
         return 2
+    try:
+        optima = oracle.dp_optimal_upto(args.max_n, args.level)
+    except oracle.OracleError as exc:
+        print(f"error: oracle failure in the DP: {exc}", file=sys.stderr)
+        return 1
     checks, rows, all_pass = [], [], True
-    for n in range(1, args.max_n + 1):
+    for n, (dp_set, dp_value) in enumerate(optima, start=1):
         try:
             alpha = build_alpha(n)
             closed = distortion_closed_form(n).total
-            dp_set, dp_value = oracle.dp_optimal(n, args.level)
             value_match = dp_value == closed
             points_match = set(dp_set.abscissas()) == set(alpha.abscissas())
             lloyd_fixed = (
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("n", "max_n", "level", "max_level"):
+    for name in ("n", "max_n", "level", "max_level", "max_refine_depth"):
         if getattr(args, name, 1) < 1:
             print(f"error: --{name.replace('_', '-')} must be >= 1",
                   file=sys.stderr)

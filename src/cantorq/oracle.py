@@ -9,7 +9,6 @@ placements whose cell boundaries fall on level-k interval edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -154,25 +153,9 @@ def lloyd_step(n: int, points, max_depth: int = DEFAULT_MAX_DEPTH) -> PointSet:
     return PointSet(n, tuple(new_pts))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """n consecutive nonempty groups of the 2**level level-k intervals,
-    encoded by the indices where a new group starts."""
-
-    level: int
-    boundaries: tuple[int, ...]
-
-    def __post_init__(self):
-        m = 2 ** self.level
-        prev = 0
-        for b in self.boundaries:
-            if not (prev < b < m):
-                raise ValueError(f"bad boundary sequence {self.boundaries}")
-            prev = b
-
-
-def dp_optimal(n: int, level: int) -> tuple[PointSet, Fraction]:
-    """Globally optimal codebook over all level-k consecutive groupings.
+def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
+    """Globally optimal codebooks over all level-k consecutive groupings,
+    for every n = 1..max_n; entry n-1 is the result for n.
 
     Each group of intervals is served by the pullback of its conditional
     mean; the DP minimizes the exact total distortion over all groupings.
@@ -181,66 +164,94 @@ def dp_optimal(n: int, level: int) -> tuple[PointSet, Fraction]:
     numerators: the within-group second moments and the cross terms of the
     constraint offset are the same for every partition.  That objective is
     a classic concave (Monge) interval cost, so each DP layer is filled by
-    divide-and-conquer over the monotone argmax.  Ties are broken toward
-    the lexicographically smallest boundary sequence.
+    divide-and-conquer over the monotone argmax.
+
+    Layer g (best objective over intervals i..m-1 with g groups) does not
+    depend on n, so layers 1..max_n-1 are filled once for every i, and the
+    top layer only at i = 0, by one O(m) scan.  Each layer value is an
+    unreduced integer pair num/den, den being the product of the group
+    sizes; values are compared by cross-multiplication, with no gcd and no
+    Fraction in the search.  A greedy left-to-right reconstruction keeps
+    the lexicographically smallest boundaries among equal-value groupings.
+    The distortion of each group comes from prefix sums of the numerators
+    and of their squares.
     """
-    if n < 1:
+    if max_n < 1:
         raise ValueError("n must be >= 1")
     m = 2 ** level
-    if n > m:
-        raise ValueError(f"n={n} exceeds the {m} level-{level} intervals")
+    if max_n > m:
+        raise ValueError(f"n={max_n} exceeds the {m} level-{level} intervals")
     nums = centroid_numerators(level)
     pref = [0, *accumulate(nums)]
+    pref2 = [0, *accumulate(v * v for v in nums)]
 
-    def gain(i: int, j: int) -> Fraction:
-        d = pref[j] - pref[i]
-        return Fraction(d * d, j - i)
-
-    # layers[g][i] = best objective covering intervals i..m-1 with g groups
-    layers: list[list] = [None, [gain(i, m) for i in range(m)] + [None]]
-    for g in range(2, n + 1):
-        prev = layers[g - 1]
-        cur: list = [None] * (m + 1)
-        j_max = m - (g - 1)
+    # layers[g] = (numerators, denominators) of the best objective covering
+    # intervals i..m-1 with g groups
+    layers: list = [None, ([(pref[m] - pref[i]) ** 2 for i in range(m)],
+                           [m - i for i in range(m)])]
+    for g in range(2, max_n + 1):
+        pnum, pden = layers[g - 1]
+        # the top layer is needed only at i = 0
+        rows = m - g + 1 if g < max_n else 1
+        cnum, cden = [0] * rows, [1] * rows
 
         def solve(ilo: int, ihi: int, jlo: int, jhi: int) -> None:
             if ilo > ihi:
                 return
             mid = (ilo + ihi) // 2
-            best, best_j = None, -1
+            base = pref[mid]
+            bn, bd, best_j = -1, 1, -1
             for j in range(max(jlo, mid + 1), jhi + 1):
-                v = gain(mid, j) + prev[j]
-                if best is None or v > best:
-                    best, best_j = v, j
-            cur[mid] = best
+                d, size, pd = pref[j] - base, j - mid, pden[j]
+                num, den = d * d * pd + pnum[j] * size, size * pd
+                if num * bd > bn * den:
+                    bn, bd, best_j = num, den, j
+            cnum[mid], cden[mid] = bn, bd
             solve(ilo, mid - 1, jlo, best_j)
             solve(mid + 1, ihi, best_j, jhi)
 
-        solve(0, m - g, 1, j_max)
-        layers.append(cur)
+        solve(0, rows - 1, 1, m - (g - 1))
+        layers.append((cnum, cden))
 
-    # greedy left-to-right reconstruction keeps boundaries lexicographically
-    # smallest among equal-value partitions
-    boundaries = []
-    i = 0
-    for g in range(n, 1, -1):
-        target = layers[g][i]
-        for j in range(i + 1, m - (g - 1) + 1):
-            if gain(i, j) + layers[g - 1][j] == target:
-                boundaries.append(j)
-                i = j
-                break
-        else:
-            raise OracleError("DP reconstruction failed")
+    den0 = 2 * 3 ** level
+    floor = VARIANCE / 9 ** level
+    results = []
+    for n in range(1, max_n + 1):
+        # greedy left-to-right reconstruction keeps boundaries
+        # lexicographically smallest among equal-value partitions
+        edges = [0]
+        i, tn, td = 0, layers[n][0][0], layers[n][1][0]
+        for g in range(n, 1, -1):
+            pnum, pden = layers[g - 1]
+            for j in range(i + 1, m - (g - 1) + 1):
+                d, size = pref[j] - pref[i], j - i
+                if (d * d * pden[j] + pnum[j] * size) * td == tn * size * pden[j]:
+                    edges.append(j)
+                    i, tn, td = j, pnum[j], pden[j]
+                    break
+            else:
+                raise OracleError("DP reconstruction failed")
+        edges.append(m)
 
-    den = 2 * 3 ** level
-    edges = [0, *boundaries, m]
-    pts, value = [], Fraction(0)
-    for i, j in zip(edges, edges[1:]):
-        mean = Fraction(pref[j] - pref[i], (j - i) * den)
-        p = u_inverse(n, mean)
-        pts.append(p)
-        for idx in range(i, j):
-            value += (Fraction(1, 9 ** level) * VARIANCE
-                      + rho(Fraction(nums[idx], den), p)) / 2 ** level
-    return PointSet(n, tuple(pts)), value
+        pts, rho_sum = [], Fraction(0)
+        for i, j in zip(edges, edges[1:]):
+            s1, s2, size = pref[j] - pref[i], pref2[j] - pref2[i], j - i
+            p = u_inverse(n, Fraction(s1, size * den0))
+            pts.append(p)
+            # sum of rho(t / den0, p) over the group's numerators t
+            rho_sum += (Fraction(s2, den0 * den0) - 2 * p.x * Fraction(s1, den0)
+                        + size * (p.x * p.x + p.y * p.y))
+        results.append((PointSet(n, tuple(pts)), floor + rho_sum / m))
+    return results
+
+
+def dp_optimal(n: int, level: int) -> tuple[PointSet, Fraction]:
+    """Globally optimal codebook on S_n over all level-k consecutive
+    groupings, and its exact distortion.
+
+    This is the last entry of `dp_optimal_upto(n, level)`: layers 1..n-1
+    are filled for every start i, the top layer n only in its row i = 0,
+    and every layer value is an unreduced integer pair num/den compared by
+    cross-multiplication.  Ties go to the lexicographically smallest
+    boundaries."""
+    return dp_optimal_upto(n, level)[-1]

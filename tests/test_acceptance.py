@@ -18,7 +18,7 @@ from cantorq import (
     coefficient_sequence,
     dimension_sequence,
     distortion_closed_form,
-    dp_optimal,
+    dp_optimal_upto,
     exact_distortion,
     interval_measures,
     lloyd_step,
@@ -82,8 +82,8 @@ def test_criterion_04_split_set_independence():
 
 def test_criterion_05_dp_oracle_agreement():
     with budget("5 DP oracle agreement", 60):
-        for n in range(1, 17):
-            ps, value = dp_optimal(n, 10)
+        optima = dp_optimal_upto(64, 12)
+        for n, (ps, value) in enumerate(optima, start=1):
             assert value == distortion_closed_form(n).total
             assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
 
@@ -94,8 +94,9 @@ def test_criterion_06_lloyd_fixed_point_and_descent():
             alpha = build_alpha(n)
             assert lloyd_step(n, alpha).abscissas() == alpha.abscissas()
         rng = random.Random(1234)
+        optima = dp_optimal_upto(5, 10)
         for n in (2, 3, 4, 5):
-            optimum = dp_optimal(n, 10)[1]
+            optimum = optima[n - 1][1]
             done = 0
             while done < 100:
                 feet = sorted(rng.sample(range(1, 3 ** 7), n))

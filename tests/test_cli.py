@@ -94,6 +94,20 @@ def test_verify_usage_error_when_level_too_small(capsys):
     assert main(["verify", "--max-n", "20", "--level", "4"]) == 2
 
 
+def test_verify_usage_error_when_level_above_cap(capsys):
+    assert main(["verify", "--max-n", "1", "--level", "21"]) == 2
+    # rejected before 2**level is built
+    assert main(["verify", "--max-n", "1", "--level", str(10 ** 18)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
+def test_verify_usage_error_when_refine_depth_below_one(capsys):
+    assert main(["verify", "--max-n", "2", "--level", "3",
+                 "--max-refine-depth", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_asymptotics_dimension(capsys):
     code, rec = run_json(capsys, "asymptotics", "--kind", "dimension",
                          "--max-level", "3")

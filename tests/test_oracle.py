@@ -1,22 +1,26 @@
 import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 
 from cantorq import (
+    VARIANCE,
     ConstraintPoint,
     EmptyCellError,
-    Partition,
     RefinementDepthError,
     build_alpha,
     cell_measures,
+    centroid_numerators,
     distortion_closed_form,
     dp_optimal,
+    dp_optimal_upto,
     exact_distortion,
     feasible_window,
     interval_measures,
     level_of,
     lloyd_step,
+    rho,
     u_inverse,
     unconstrained_baseline,
 )
@@ -118,14 +122,6 @@ def test_lloyd_descent_from_random_starts(n):
         assert after >= optimum
 
 
-def test_partition_validation():
-    Partition(3, (2, 5))
-    with pytest.raises(ValueError):
-        Partition(2, (0,))
-    with pytest.raises(ValueError):
-        Partition(2, (3, 2))
-
-
 def test_dp_examples():
     _, v1 = dp_optimal(1, 1)
     assert v1 == F(5, 4)
@@ -147,6 +143,48 @@ def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal(n, 8)
     assert v == distortion_closed_form(n).total
     assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
+    assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
+
+
+def _per_interval_value(n, level, edges):
+    """The DP value summed one interval at a time, with rho."""
+    nums = centroid_numerators(level)
+    den, m = 2 * 3 ** level, 2 ** level
+    value = F(0)
+    for i, j in zip(edges, edges[1:]):
+        p = u_inverse(n, F(sum(nums[i:j]), (j - i) * den))
+        for t in nums[i:j]:
+            value += (F(1, 9 ** level) * VARIANCE + rho(F(t, den), p)) / m
+    return value
+
+
+def test_dp_matches_brute_force_with_lexicographic_tie_break():
+    ties = 0
+    for level in range(1, 5):
+        m = 2 ** level
+        nums = centroid_numerators(level)
+        pref = [0, *accumulate(nums)]
+        max_n = min(m, 6)
+        results = dp_optimal_upto(max_n, level)
+        for n in range(1, max_n + 1):
+            # combinations come in lexicographic order, so the first of the
+            # maxima has the smallest boundaries
+            best, best_edges, count = None, None, 0
+            for cut in combinations(range(1, m), n - 1):
+                edges = (0, *cut, m)
+                score = sum(F((pref[j] - pref[i]) ** 2, j - i)
+                            for i, j in zip(edges, edges[1:]))
+                if best is None or score > best:
+                    best, best_edges, count = score, edges, 1
+                elif score == best:
+                    count += 1
+            ties += count > 1
+            ps, value = results[n - 1]
+            feet = tuple(F(pref[j] - pref[i], (j - i) * 2 * 3 ** level)
+                         for i, j in zip(best_edges, best_edges[1:]))
+            assert ps.feet() == feet
+            assert value == _per_interval_value(n, level, best_edges)
+    assert ties > 0  # the tie-break is exercised
 
 
 @pytest.mark.parametrize("n", range(1, 17))
