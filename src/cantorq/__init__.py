@@ -8,10 +8,8 @@ search oracles (Lloyd iteration and an exact dynamic program).
 
 from .asymptotics import (
     AsymptoticSample,
-    coefficient_sequence,
     dimension_sequence,
     sample_at,
-    v_infinity,
 )
 from .closedform import (
     DistortionReport,
@@ -41,20 +39,17 @@ from .constraint import (
 from .measure import (
     MEAN,
     VARIANCE,
-    BasicInterval,
     Word,
     apply_map,
-    basic_interval,
     centroid,
     centroid_numerators,
     moment_sum,
-    self_similar_distortion,
+    partial_moments,
     words,
 )
 from .oracle import (
     EmptyCellError,
     OracleError,
-    RefinementDepthError,
     cell_measures,
     dp_optimal,
     dp_optimal_upto,

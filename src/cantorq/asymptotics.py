@@ -19,10 +19,6 @@ from fractions import Fraction
 from .closedform import V_INFINITY, quantization_error
 
 
-def v_infinity() -> Fraction:
-    return V_INFINITY
-
-
 def _log(f: Fraction) -> float:
     # math.log on the big-integer parts; float(f) would underflow for
     # excesses around 2**-1100
@@ -60,8 +56,3 @@ def dimension_sequence(max_level: int) -> list[AsymptoticSample]:
         raise ValueError("max_level must be >= 1")
     return [sample_at(2 ** l) for l in range(1, max_level + 1)]
 
-
-def coefficient_sequence(max_level: int) -> list[AsymptoticSample]:
-    """Same sample points; coeff_estimate is eventually strictly increasing
-    and unbounded, with consecutive ratios tending to 2."""
-    return dimension_sequence(max_level)

@@ -142,9 +142,8 @@ def cmd_verify(args) -> int:
             closed = distortion_closed_form(n).total
             value_match = dp_value == closed
             points_match = set(dp_set.abscissas()) == set(alpha.abscissas())
-            lloyd_fixed = (
-                oracle.lloyd_step(n, alpha, args.max_refine_depth).abscissas()
-                == alpha.abscissas())
+            lloyd_fixed = (oracle.lloyd_step(n, alpha).abscissas()
+                           == alpha.abscissas())
         except oracle.OracleError as exc:
             print(f"error: oracle failure at n={n}: {exc}", file=sys.stderr)
             return 1
@@ -159,7 +158,6 @@ def cmd_verify(args) -> int:
                      value_match, points_match, lloyd_fixed])
     record = {"command": "verify",
               "parameters": {"max_n": args.max_n, "level": args.level,
-                             "max_refine_depth": args.max_refine_depth,
                              "format": args.format},
               "results": {"checks": checks, "all_pass": all_pass}}
     _emit(record, args.format,
@@ -169,11 +167,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    samples = (asymptotics.dimension_sequence(args.max_level)
-               if args.kind == "dimension"
-               else asymptotics.coefficient_sequence(args.max_level))
     out, rows = [], []
-    for level, s in enumerate(samples, start=1):
+    for level, s in enumerate(asymptotics.dimension_sequence(args.max_level),
+                              start=1):
         if args.plot_data:
             y = s.dim_estimate if args.kind == "dimension" else s.coeff_estimate
             out.append({"x": level, "y": fmt_float(y)})
@@ -224,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="DP and Lloyd checks against closed forms")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--max-refine-depth", type=int,
-                   default=oracle.DEFAULT_MAX_DEPTH)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("n", "max_n", "level", "max_level", "max_refine_depth"):
+    for name in ("n", "max_n", "level", "max_level"):
         if getattr(args, name, 1) < 1:
             print(f"error: --{name.replace('_', '-')} must be >= 1",
                   file=sys.stderr)

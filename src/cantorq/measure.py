@@ -1,4 +1,4 @@
-"""Cantor IFS, basic intervals, centroids, and exact moment identities.
+"""Cantor IFS, centroids, exact moment identities and the integration kernel.
 
 The generating maps are t1(x) = x/3 and t2(x) = x/3 + 2/3.  A word sigma
 over the alphabet {1, 2} addresses the composition
@@ -19,7 +19,6 @@ All arithmetic here is exact rational; no floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -34,6 +33,9 @@ VARIANCE = Fraction(1, 8)
 
 #: Enumerations over {1,2}**k refuse to go beyond this level by default.
 MAX_ENUM_LEVEL = 20
+
+# v(1) of partial_moments: mass, first and second moment of the measure
+_TOTAL = (Fraction(1), MEAN, VARIANCE + MEAN * MEAN)
 
 _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
@@ -60,28 +62,6 @@ def apply_map(word: Word, x: Fraction) -> Fraction:
         if letter == 2:
             x += _TWO_THIRDS
     return x
-
-
-@dataclass(frozen=True)
-class BasicInterval:
-    """The interval J_word = T_word([0, 1])."""
-
-    word: Word
-    left: Fraction
-    right: Fraction
-
-    @property
-    def level(self) -> int:
-        return len(self.word)
-
-    @property
-    def mass(self) -> Fraction:
-        return Fraction(1, 2 ** self.level)
-
-
-def basic_interval(word: Word) -> BasicInterval:
-    return BasicInterval(tuple(word), apply_map(word, Fraction(0)),
-                         apply_map(word, Fraction(1)))
 
 
 @lru_cache(maxsize=None)
@@ -130,12 +110,67 @@ def moment_sum(k: int, m: int, max_level: int = MAX_ENUM_LEVEL) -> int:
     return total
 
 
-def self_similar_distortion(word: Word, p: tuple[Fraction, Fraction]) -> Fraction:
-    """Exact conditional distortion of the plane point p over J_word.
+def _unwind(digits: list[bool], f: int, m1: int, m2: int,
+            s: int) -> tuple[int, int, int]:
+    """Apply the maps of an orbit's digits (True for t2), last digit first,
+    to the numerators (f, m1, m2) of v over (2s, 12s, 144s).
 
-    Equals 9**-k * V + (a(word) - p_x)**2 + p_y**2, the normalized integral
-    of the squared distance from points of J_word (on the real axis) to p.
+    After j maps the numerators are over (2s*2**j, 12s*6**j, 144s*18**j),
+    so t1 leaves them unchanged and t2 adds integer terms.  With s = 0 only
+    the linear part of the maps is applied.
     """
-    a, b = p
-    k = len(word)
-    return Fraction(1, 9 ** k) * VARIANCE + (centroid(word) - a) ** 2 + b * b
+    p2, p3 = 2 * s, 1  # s * 2**(j+1), 3**j
+    for right in reversed(digits):
+        if right:
+            t = 12 * p3
+            f, m1, m2 = (f + p2, m1 + t * f + 3 * p2 * p3,
+                         m2 + t * (24 * p3 * f + 4 * m1) + 27 * p2 * p3 * p3)
+        p2, p3 = 2 * p2, 3 * p3
+    return f, m1, m2
+
+
+def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact v(x) = (mu[0, x], int_0^x t dmu, int_0^x t**2 dmu) for rational x.
+
+    Self-similarity gives v(x/3) = (F/2, M1/6, M2/18) and
+    v(x/3 + 2/3) = (1/2 + F/2, F/3 + M1/6 + 1/12, 2F/9 + 2M1/9 + M2/18 + 1/48)
+    for v(x) = (F, M1, M2), and v is the constant (1/2, 1/12, 1/48) on the
+    middle third [1/3, 2/3].  The orbit x -> 3x mod 1 of a rational is
+    eventually periodic: it either reaches the middle third or cycles inside
+    the Cantor set, where v is the fixed point of the cycle's affine map,
+    which is lower triangular.  Clamped to v(0) for x <= 0 and v(1) for
+    x >= 1.  See Graf & Luschgy, "The quantization of the Cantor
+    distribution", Math. Nachr. 183 (1997).
+    """
+    if x <= 0:
+        return (Fraction(0),) * 3
+    if x >= 1:
+        return _TOTAL
+    p, q = x.numerator, x.denominator
+    digits: list[bool] = []
+    seen: dict[int, int] = {}
+    while not q <= 3 * p <= 2 * q and p not in seen:
+        seen[p] = len(digits)
+        p *= 3
+        digits.append(p > q)
+        if p > q:
+            p -= 2 * q
+    if p in seen:
+        cycle, digits = digits[seen[p]:], digits[:seen[p]]
+        # numerators of the cycle's map U(v) = K + A v, A unit lower triangular
+        k0, k1, k2 = _unwind(cycle, 0, 0, 0, 1)
+        _, a10, a20 = _unwind(cycle, 1, 0, 0, 0)
+        a21 = _unwind(cycle, 0, 1, 0, 0)[2]
+        # the fixed point over (2s, 12s, 144s) solves (D - A) v = s K with
+        # D = diag(2**L, 6**L, 18**L), L = len(cycle); this s makes it integral
+        length = len(cycle)
+        d0, d1, d2 = 2 ** length - 1, 6 ** length - 1, 18 ** length - 1
+        s, g = d0 * d1 * d2, d0 * k1 + a10 * k0
+        f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + a20 * k0) + a21 * g
+    else:
+        # (1/2, 1/12, 1/48) over (2, 12, 144)
+        f, m1, m2, s = 1, 1, 3, 1
+    f, m1, m2 = _unwind(digits, f, m1, m2, s)
+    j = len(digits)
+    return (Fraction(f, 2 * s * 2 ** j), Fraction(m1, 12 * s * 6 ** j),
+            Fraction(m2, 144 * s * 18 ** j))

@@ -1,9 +1,11 @@
 """Independent verification machinery: exact evaluator, Lloyd step, DP search.
 
-Nothing here trusts the closed forms.  The evaluator integrates the
-distortion of an arbitrary codebook by refining basic intervals until each
-lies in a single Voronoi cell; the Lloyd step recenters every point at the
-pullback of its cell's conditional mean; the DP searches globally over all
+Nothing here trusts the closed forms.  The evaluator and the Lloyd step
+integrate the measure over each Voronoi cell of an arbitrary codebook
+exactly, as differences of the kernel `measure.partial_moments` at the cell
+boundaries; the evaluator sums each cell's distortion from its mass and
+first two moments, and the Lloyd step recenters every point at the pullback
+of its cell's conditional mean.  The DP searches globally over all
 placements whose cell boundaries fall on level-k interval edges.
 """
 
@@ -13,24 +15,16 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .constraint import ConstraintPoint, PointSet, bisector_foot, rho, u_inverse
-from .measure import VARIANCE, centroid_numerators
+from .constraint import ConstraintPoint, PointSet, bisector_foot, u_inverse
+from .measure import VARIANCE, centroid_numerators, partial_moments
 
 
 class OracleError(Exception):
     pass
 
 
-class RefinementDepthError(OracleError):
-    """Basic-interval refinement hit the depth cap without separating; a
-    Voronoi boundary lies inside the Cantor set."""
-
-
 class EmptyCellError(OracleError):
     """A Voronoi cell carries zero measure."""
-
-
-DEFAULT_MAX_DEPTH = 40
 
 
 def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
@@ -56,100 +50,56 @@ def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
     return tuple(out)
 
 
-def exact_distortion(n: int, points, max_depth: int = DEFAULT_MAX_DEPTH) -> Fraction:
+_Moments = tuple[Fraction, Fraction, Fraction]
+
+
+def _moments(cuts: Sequence[Fraction]) -> list[_Moments]:
+    """(mass, first moment, second moment) of the measure between
+    consecutive cuts, the first cell starting at 0 and the last ending at 1."""
+    vs = [partial_moments(c) for c in (Fraction(0), *cuts, Fraction(1))]
+    return [(b[0] - a[0], b[1] - a[1], b[2] - a[2])
+            for a, b in zip(vs, vs[1:])]
+
+
+def _cells(pts: Sequence[ConstraintPoint]) -> list[_Moments]:
+    """Moments of each sorted point's Voronoi cell, projected to the line."""
+    return _moments([bisector_foot(p, q) for p, q in zip(pts, pts[1:])])
+
+
+def exact_distortion(n: int, points) -> Fraction:
     """Exact distortion of an arbitrary codebook on S_n.
 
-    Duplicate points collapse to one.  Refines each basic interval until it
-    lies on one side of every relevant bisector, then sums the closed-form
-    per-interval contribution 2**-k (9**-k V + rho(center, point)).
+    Duplicate points collapse to one.  Each cell contributes
+    M2 - 2x M1 + (x**2 + y**2) mass for its point (x, y).
     """
     pts = _prepare(n, points, collapse=True)
-    cuts = [bisector_foot(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-
-    def go(left: Fraction, k: int, lo: int, hi: int) -> Fraction:
-        width = Fraction(1, 3 ** k)
-        right = left + width
-        # a point is irrelevant on J once its cell ends at or before J
-        while lo < hi and cuts[lo] <= left:
-            lo += 1
-        while hi > lo and cuts[hi - 1] >= right:
-            hi -= 1
-        if lo == hi:
-            center = left + width / 2
-            return (Fraction(1, 9 ** k) * VARIANCE
-                    + rho(center, pts[lo])) / 2 ** k
-        if k >= max_depth:
-            raise RefinementDepthError(
-                f"no separation of [{left}, {right}] at depth {max_depth}")
-        third = width / 3
-        return go(left, k + 1, lo, hi) + go(right - third, k + 1, lo, hi)
-
-    return go(Fraction(0), 0, 0, len(pts) - 1)
+    return sum(m2 - 2 * p.x * m1 + (p.x * p.x + p.y * p.y) * mass
+               for p, (mass, m1, m2) in zip(pts, _cells(pts)))
 
 
-def _cell_mass_moment(
-    lo_bound: Fraction | None, hi_bound: Fraction | None, max_depth: int,
-) -> tuple[Fraction, Fraction]:
-    """Mass and first moment of the measure on [lo_bound, hi_bound]."""
-
-    def go(left: Fraction, k: int) -> tuple[Fraction, Fraction]:
-        width = Fraction(1, 3 ** k)
-        right = left + width
-        if (hi_bound is not None and hi_bound <= left) or \
-           (lo_bound is not None and right <= lo_bound):
-            return Fraction(0), Fraction(0)
-        if (lo_bound is None or lo_bound <= left) and \
-           (hi_bound is None or right <= hi_bound):
-            mass = Fraction(1, 2 ** k)
-            return mass, mass * (left + right) / 2
-        if k >= max_depth:
-            raise RefinementDepthError(
-                f"cell boundary not separated from [{left}, {right}] "
-                f"at depth {max_depth}")
-        third = width / 3
-        m1, s1 = go(left, k + 1)
-        m2, s2 = go(right - third, k + 1)
-        return m1 + m2, s1 + s2
-
-    return go(Fraction(0), 0)
-
-
-def cell_measures(n: int, points, max_depth: int = DEFAULT_MAX_DEPTH) -> list[Fraction]:
+def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
-    pts = _prepare(n, points, collapse=False)
-    cuts = [bisector_foot(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    out = []
-    for i in range(len(pts)):
-        lo = cuts[i - 1] if i > 0 else None
-        hi = cuts[i] if i < len(cuts) else None
-        out.append(_cell_mass_moment(lo, hi, max_depth)[0])
-    return out
+    return [mass for mass, _, _ in _cells(_prepare(n, points, collapse=False))]
 
 
-def interval_measures(
-    boundaries: Sequence[Fraction], max_depth: int = DEFAULT_MAX_DEPTH,
-) -> list[Fraction]:
-    """Measures of the cells cut out of the line by the given boundaries."""
-    bounds = [None, *boundaries, None]
-    return [_cell_mass_moment(bounds[i], bounds[i + 1], max_depth)[0]
-            for i in range(len(bounds) - 1)]
+def interval_measures(boundaries: Sequence[Fraction]) -> list[Fraction]:
+    """Measures of the cells cut out of the line by increasing boundaries."""
+    if any(b < a for a, b in zip(boundaries, boundaries[1:])):
+        raise ValueError("boundaries must be non-decreasing")
+    return [mass for mass, _, _ in _moments(boundaries)]
 
 
-def lloyd_step(n: int, points, max_depth: int = DEFAULT_MAX_DEPTH) -> PointSet:
+def lloyd_step(n: int, points) -> PointSet:
     """One constrained Lloyd iteration: recenter each point at the pullback
     of its Voronoi cell's conditional mean.  Distortion never increases."""
     pts = _prepare(n, points, collapse=False)
     if len(pts) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
-    cuts = [bisector_foot(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
     new_pts = []
-    for i in range(len(pts)):
-        lo = cuts[i - 1] if i > 0 else None
-        hi = cuts[i] if i < len(cuts) else None
-        mass, moment = _cell_mass_moment(lo, hi, max_depth)
+    for p, (mass, m1, _) in zip(pts, _cells(pts)):
         if mass == 0:
-            raise EmptyCellError(f"cell of point {pts[i]} has zero measure")
-        new_pts.append(u_inverse(n, moment / mass))
+            raise EmptyCellError(f"cell of point {p} has zero measure")
+        new_pts.append(u_inverse(n, m1 / mass))
     return PointSet(n, tuple(new_pts))
 
 

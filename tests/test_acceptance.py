@@ -10,12 +10,10 @@ import pytest
 
 from cantorq import (
     EmptyCellError,
-    RefinementDepthError,
     a_term,
     admissible_split_sets,
     build_alpha,
     cell_measures,
-    coefficient_sequence,
     dimension_sequence,
     distortion_closed_form,
     dp_optimal_upto,
@@ -104,7 +102,7 @@ def test_criterion_06_lloyd_fixed_point_and_descent():
                 try:
                     before = exact_distortion(n, pts)
                     after = exact_distortion(n, lloyd_step(n, pts))
-                except (RefinementDepthError, EmptyCellError):
+                except EmptyCellError:
                     continue
                 assert after <= before
                 assert after >= optimum
@@ -126,7 +124,7 @@ def test_criterion_07_dimension_limit_properties():
 
 def test_criterion_08_coefficient_diverges():
     with budget("8 coefficient diverges", 5):
-        seq = coefficient_sequence(30)
+        seq = dimension_sequence(30)
         coeffs = [s.coeff_estimate for s in seq]
         for i in range(2, len(coeffs) - 1):  # strictly increasing from l = 3
             assert coeffs[i] < coeffs[i + 1]

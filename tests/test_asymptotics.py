@@ -4,19 +4,18 @@ from fractions import Fraction
 import pytest
 
 from cantorq import (
-    coefficient_sequence,
+    V_INFINITY,
     dimension_sequence,
     power_of_two_error,
     quantization_error,
     sample_at,
-    v_infinity,
 )
 
 F = Fraction
 
 
 def test_v_infinity_value():
-    assert v_infinity() == F(3, 16)
+    assert V_INFINITY == F(3, 16)
 
 
 def test_v_infinity_cross_checks():
@@ -77,7 +76,7 @@ def test_sandwich_between_power_of_two_errors(level):
 
 
 def test_coefficient_sequence_diverges():
-    seq = coefficient_sequence(35)
+    seq = dimension_sequence(35)
     coeffs = [s.coeff_estimate for s in seq]
     for i in range(2, len(coeffs) - 1):  # l >= 3
         assert coeffs[i] < coeffs[i + 1]

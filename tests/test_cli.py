@@ -102,10 +102,13 @@ def test_verify_usage_error_when_level_above_cap(capsys):
     assert err.count("\n") == 2 and "Traceback" not in err
 
 
-def test_verify_usage_error_when_refine_depth_below_one(capsys):
-    assert main(["verify", "--max-n", "2", "--level", "3",
-                 "--max-refine-depth", "0"]) == 2
-    assert capsys.readouterr().out == ""
+def test_verify_parameters(capsys):
+    _, rec = run_json(capsys, "verify", "--max-n", "2", "--level", "3")
+    assert rec["parameters"] == {"format": "json", "level": 3, "max_n": 2}
+    code, out = run(capsys, "verify", "--max-n", "2", "--level", "3",
+                    "--format", "csv")
+    assert code == 0
+    assert out.split("\r\n")[0] == "# command=verify format=csv level=3 max_n=2"
 
 
 def test_asymptotics_dimension(capsys):

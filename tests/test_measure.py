@@ -8,18 +8,17 @@ from cantorq import (
     MEAN,
     VARIANCE,
     apply_map,
-    basic_interval,
     centroid,
     centroid_numerators,
     moment_sum,
-    self_similar_distortion,
+    partial_moments,
     words,
 )
 
 F = Fraction
 
 word_st = st.lists(st.sampled_from((1, 2)), max_size=8).map(tuple)
-rational_st = st.fractions(min_value=-3, max_value=3)
+unit_st = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
 
 
 def test_apply_map_empty_is_identity():
@@ -41,25 +40,27 @@ def test_apply_map_rejects_bad_letter():
         apply_map((1, 3), F(0))
 
 
-def test_basic_interval_examples():
-    assert (basic_interval(()).left, basic_interval(()).right) == (0, 1)
-    j2 = basic_interval((2,))
-    assert (j2.left, j2.right) == (F(2, 3), 1)
-    j12 = basic_interval((1, 2))
-    assert (j12.left, j12.right) == (F(2, 9), F(1, 3))
+def _between(a, b):
+    """Mass and first two moments of the measure on [a, b], from the kernel."""
+    return tuple(y - x for x, y in zip(partial_moments(a), partial_moments(b)))
 
 
 @given(word_st)
 def test_basic_interval_length_and_mass(w):
-    j = basic_interval(w)
-    assert j.right - j.left == F(1, 3 ** len(w))
-    assert 0 <= j.left < j.right <= 1
-    assert j.mass == F(1, 2 ** len(w))
+    left, right = apply_map(w, F(0)), apply_map(w, F(1))
+    assert right - left == F(1, 3 ** len(w))
+    assert 0 <= left < right <= 1
+    mass, m1, _ = _between(left, right)
+    assert mass == F(1, 2 ** len(w))
+    assert m1 == mass * centroid(w)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_level_masses_sum_to_one(k):
-    assert sum(basic_interval(w).mass for w in words(k)) == 1
+    masses = [_between(apply_map(w, F(0)), apply_map(w, F(1)))[0]
+              for w in words(k)]
+    assert set(masses) == {F(1, 2 ** k)}
+    assert sum(masses) == 1
 
 
 def test_centroid_examples():
@@ -120,23 +121,72 @@ def test_moment_sum_rejects_bad_order():
         moment_sum(3, 3)
 
 
-def test_self_similar_distortion_examples():
-    assert self_similar_distortion((), (MEAN, F(0))) == VARIANCE
-    assert self_similar_distortion((), (F(-1, 4), F(3, 4))) == F(5, 4)
-    assert self_similar_distortion((1,), (F(1, 6), F(0))) == F(1, 72)
-
-
-@settings(max_examples=60)
-@given(word_st, rational_st, rational_st)
-def test_self_similar_one_level_recursion(w, a, b):
-    lhs = self_similar_distortion(w, (a, b))
-    rhs = (self_similar_distortion(w + (1,), (a, b))
-           + self_similar_distortion(w + (2,), (a, b))) / 2
-    assert lhs == rhs
+@settings(max_examples=200)
+@given(unit_st)
+def test_self_similar_one_level_recursion(x):
+    f, m1, m2 = partial_moments(x)
+    assert partial_moments(x / 3) == (f / 2, m1 / 6, m2 / 18)
+    assert partial_moments(x / 3 + F(2, 3)) == (
+        F(1, 2) + f / 2, f / 3 + m1 / 6 + F(1, 12),
+        2 * f / 9 + 2 * m1 / 9 + m2 / 18 + F(1, 48))
 
 
 @pytest.mark.parametrize("i", range(20))
 def test_single_point_distortion_on_s1_is_quadratic(i):
     # distortion of (a, a+1) over [0,1] equals 2a^2 + a + 11/8
     a = F(i - 10, 13)
-    assert self_similar_distortion((), (a, a + 1)) == 2 * a * a + a + F(11, 8)
+    mass, m1, m2 = partial_moments(F(1))
+    assert m2 - 2 * a * m1 + (a * a + (a + 1) ** 2) * mass == \
+        2 * a * a + a + F(11, 8)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partial_moments_match_finite_sums(k):
+    # a level-k interval has mass 2**-k, mean c and second moment
+    # c**2 + 9**-k/8; v at its ends and at gap midpoints is a finite sum
+    den, width, mass = 2 * 3 ** k, F(1, 3 ** k), F(1, 2 ** k)
+    cs = [F(t, den) for t in centroid_numerators(k)]
+    sums = [(F(0), F(0), F(0))]
+    for c in cs:
+        f, m1, m2 = sums[-1]
+        sums.append((f + mass, m1 + mass * c,
+                     m2 + mass * (c * c + width * width / 8)))
+    for i, c in enumerate(cs):
+        assert partial_moments(c - width / 2) == sums[i]
+        assert partial_moments(c + width / 2) == sums[i + 1]
+        if i + 1 < len(cs):
+            gap_mid = (c + cs[i + 1]) / 2
+            assert partial_moments(gap_mid) == sums[i + 1]
+
+
+def test_partial_moments_hand_values():
+    # 1/4 = 0.0202..._3 and 3/4 = 0.2020..._3: F(1/4) = F(3/4)/2 and
+    # F(3/4) = 1/2 + F(1/4)/2 give F(1/4) = 1/3; M1 and M2 follow likewise
+    assert partial_moments(F(1, 4)) == (F(1, 3), F(1, 30), F(13, 2280))
+    assert partial_moments(F(3, 4)) == (F(2, 3), F(1, 5), F(39, 380))
+
+
+@pytest.mark.parametrize("x", [F(1, 4), F(1, 10), F(570247, 590490)])
+def test_partial_moments_bracketed_in_cantor_set(x):
+    # x has a periodic ternary expansion with no digit 1, so the kernel
+    # solves a cycle; the ends of each level-k interval around x border the
+    # gaps on either side and take the terminating branch
+    v = partial_moments(x)
+    for k in range(1, 31):
+        width = F(1, 3 ** k)
+        left = F(int(x / width)) * width
+        lo, hi = partial_moments(left), partial_moments(left + width)
+        assert all(a <= b <= c for a, b, c in zip(lo, v, hi))
+        c = left + width / 2
+        mass = F(1, 2 ** k)
+        assert tuple(b - a for a, b in zip(lo, hi)) == (
+            mass, mass * c, mass * (c * c + width * width / 8))
+
+
+def test_partial_moments_clamps():
+    zero, total = (0, 0, 0), (1, MEAN, VARIANCE + MEAN * MEAN)
+    for x in (F(-5, 7), F(0)):
+        assert partial_moments(x) == zero
+    for x in (F(1), F(3, 2)):
+        assert partial_moments(x) == total
+    assert total == (1, F(1, 2), F(3, 8))

@@ -8,7 +8,6 @@ from cantorq import (
     VARIANCE,
     ConstraintPoint,
     EmptyCellError,
-    RefinementDepthError,
     build_alpha,
     cell_measures,
     centroid_numerators,
@@ -54,12 +53,34 @@ def test_exact_distortion_rejects_wrong_segment():
         exact_distortion(2, [])
 
 
-def test_refinement_depth_error_when_boundary_is_in_cantor_set():
-    # feet 0 and 1/2 put the cell boundary at 1/4, which lies in the Cantor
-    # set without being an interval endpoint, so refinement cannot separate
+def test_exact_distortion_when_boundary_is_in_cantor_set():
+    # feet 0 and 1/2 put the cut at 1/4 = 0.020202..._3, inside the Cantor
+    # set.  F(1/4) = F(3/4)/2 and F(3/4) = 1/2 + F(1/4)/2 give F(1/4) = 1/3;
+    # the same two maps give M1(1/4) = 1/30 and M2(1/4) = 13/2280.  The
+    # points (-1/4, 1/4) and (0, 1/2) then contribute
+    # (13/2280 + 1/60 + 1/24) + (3/8 - 13/2280 + 1/6) = 3/5.
     pts = [u_inverse(2, F(0)), u_inverse(2, F(1, 2))]
-    with pytest.raises(RefinementDepthError):
-        exact_distortion(2, pts, max_depth=12)
+    assert cell_measures(2, pts) == [F(1, 3), F(2, 3)]
+    assert exact_distortion(2, pts) == F(3, 5)
+
+
+# a start on S_16 whose first Lloyd iterate has the cut 570247/590490,
+# whose ternary expansion is periodic with no digit 1
+N16_FEET = tuple(F(a, 2 * 3 ** 8) for a in (
+    125, 149, 1097, 1129, 1333, 3029, 3041, 3253, 4001, 8801, 9181, 9233,
+    9881, 10157, 13001, 13013))
+
+
+def test_lloyd_descent_through_boundary_in_cantor_set():
+    current = [u_inverse(16, t) for t in N16_FEET]
+    before = exact_distortion(16, current)
+    for _ in range(3):
+        current = lloyd_step(16, current)
+        assert sum(cell_measures(16, current)) == 1
+        after = exact_distortion(16, current)
+        assert after <= before
+        before = after
+    assert after >= distortion_closed_form(16).total
 
 
 def test_empty_cell_error():
@@ -88,21 +109,19 @@ def test_lloyd_one_point_converges_in_one_step():
 
 
 def test_lloyd_two_point_iteration_reaches_optimum():
-    # a start like (-1/4, 0) has its cell boundary at 1/4, inside the Cantor
-    # set, which the evaluator rejects by design; start just off it instead
-    current = [ConstraintPoint(2, F(-9, 40)), ConstraintPoint(2, F(0))]
-    for _ in range(50):
-        stepped = lloyd_step(2, current)
-        if stepped.abscissas() == tuple(p.x for p in current):
-            break
-        current = stepped.points
-    assert stepped.abscissas() == build_alpha(2).abscissas()
+    # the start (-1/4, 0) has its cell boundary at 1/4, inside the Cantor set
+    for start in (F(-1, 4), F(-9, 40)):
+        current = [ConstraintPoint(2, start), ConstraintPoint(2, F(0))]
+        for _ in range(50):
+            stepped = lloyd_step(2, current)
+            if stepped.abscissas() == tuple(p.x for p in current):
+                break
+            current = stepped.points
+        assert stepped.abscissas() == build_alpha(2).abscissas()
 
 
 def _random_start(rng, n):
-    """Random codebook whose feet are multiples of 3**-7, so every cell
-    boundary is an odd-numerator rational over 2*3**7 or an interval
-    endpoint; neither stalls the refinement."""
+    """Random codebook whose feet are distinct multiples of 3**-7 in (0, 1)."""
     feet = rng.sample(range(1, 3 ** 7), n)
     return [u_inverse(n, F(t, 3 ** 7)) for t in sorted(feet)]
 
@@ -116,7 +135,7 @@ def test_lloyd_descent_from_random_starts(n):
         try:
             before = exact_distortion(n, pts)
             after = exact_distortion(n, lloyd_step(n, pts))
-        except (RefinementDepthError, EmptyCellError):
+        except EmptyCellError:
             continue
         assert after <= before
         assert after >= optimum
@@ -185,6 +204,13 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
             assert ps.feet() == feet
             assert value == _per_interval_value(n, level, best_edges)
     assert ties > 0  # the tie-break is exercised
+
+
+def test_interval_measures_rejects_decreasing_boundaries():
+    assert interval_measures([F(-1), F(1, 4), F(2)]) == \
+        [0, F(1, 3), F(2, 3), 0]
+    with pytest.raises(ValueError):
+        interval_measures([F(1, 2), F(1, 4)])
 
 
 @pytest.mark.parametrize("n", range(1, 17))
