@@ -24,7 +24,6 @@ from .closedform import (
     level_of,
     power_of_two_error,
     quantization_error,
-    unconstrained_baseline,
     unconstrained_error,
 )
 from .constraint import (

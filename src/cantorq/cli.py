@@ -19,10 +19,17 @@ from .closedform import (
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
+    count_optimal_sets,
     distortion_closed_form,
     quantization_error,
 )
-from .measure import MAX_ENUM_LEVEL, Word
+from .measure import Word
+
+#: Highest `verify --level`: the DP enumerates all 2**level centroids.
+MAX_ENUM_LEVEL = 20
+
+#: `optimal-set --split-set all` refuses a record of more point rows.
+MAX_SPLIT_SET_ROWS = 2 ** 16
 
 
 def fmt_rational(f: Fraction) -> str:
@@ -38,11 +45,11 @@ def word_str(w: Word) -> str:
 
 
 def _parse_split_selector(selector: str, n: int):
-    """Returns the list of split sets to use for n."""
+    """Returns the split sets to use for n."""
     if selector == "canonical":
         return [canonical_split_set(n)]
     if selector == "all":
-        return list(admissible_split_sets(n))
+        return admissible_split_sets(n)
     ws = []
     for token in selector.split(","):
         token = token.strip()
@@ -65,36 +72,39 @@ def _emit(record: dict, fmt: str, header: list[str], rows: list[list[str]]) -> N
 
 
 def cmd_optimal_set(args) -> int:
+    n = args.n
+    # n first, so that a huge n never reaches the binomial coefficient
+    if args.split_set == "all" and (
+            n > MAX_SPLIT_SET_ROWS
+            or count_optimal_sets(n) * n > MAX_SPLIT_SET_ROWS):
+        print(f"error: --split-set all at n={n} gives more than "
+              f"{MAX_SPLIT_SET_ROWS} point rows", file=sys.stderr)
+        return 2
+    # the report is the same for every split set
+    report = distortion_closed_form(n)
+    total, variance, a = (fmt_rational(report.total),
+                          fmt_rational(report.variance_term),
+                          fmt_rational(report.a_term))
+    results = {"sets": []}
+    rows = []
     try:
-        split_sets = _parse_split_selector(args.split_set, args.n)
-        sets = []
-        for ss in split_sets:
-            alpha = build_alpha(args.n, ss)
-            report = distortion_closed_form(args.n, ss)
-            sets.append((alpha, report))
+        for idx, ss in enumerate(_parse_split_selector(args.split_set, n)):
+            alpha = build_alpha(n, ss)
+            ss_str = sorted(word_str(w) for w in alpha.split_set)
+            joined = "+".join(ss_str)
+            xys = [(fmt_rational(p.x), fmt_rational(p.y)) for p in alpha.points]
+            results["sets"].append({
+                "split_set": ss_str,
+                "points": [{"x": x, "y": y} for x, y in xys],
+                "total": total, "variance_term": variance, "a_term": a,
+            })
+            rows.extend([idx, joined, pidx, x, y, total, variance, a]
+                        for pidx, (x, y) in enumerate(xys))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = {"sets": []}
-    rows = []
-    for idx, (alpha, report) in enumerate(sets):
-        ss_str = sorted(word_str(w) for w in report.split_set)
-        results["sets"].append({
-            "split_set": ss_str,
-            "points": [{"x": fmt_rational(p.x), "y": fmt_rational(p.y)}
-                       for p in alpha.points],
-            "total": fmt_rational(report.total),
-            "variance_term": fmt_rational(report.variance_term),
-            "a_term": fmt_rational(report.a_term),
-        })
-        for pidx, p in enumerate(alpha.points):
-            rows.append([idx, "+".join(ss_str), pidx,
-                         fmt_rational(p.x), fmt_rational(p.y),
-                         fmt_rational(report.total),
-                         fmt_rational(report.variance_term),
-                         fmt_rational(report.a_term)])
     record = {"command": "optimal-set",
-              "parameters": {"n": args.n, "split_set": args.split_set,
+              "parameters": {"n": n, "split_set": args.split_set,
                              "format": args.format},
               "results": results}
     _emit(record, args.format,

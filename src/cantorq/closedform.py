@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .constraint import PointSet, rho, u_inverse
-from .measure import VARIANCE, Word, centroid, words
+from .measure import VARIANCE, Word, centroid, centroid_numerators, words
 
 V_INFINITY = Fraction(3, 16)
 
@@ -72,43 +72,43 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
 
     Unsplit level-l words contribute the pullback of their centroid;
     split words contribute the pullbacks of both children's centroids.
+    Word i of words(l) has the children numerators 2i and 2i+1 of
+    centroid_numerators(l + 1), and its own centroid is their mean; words
+    come in position order, so the points need no sort.
     n = 1 (level 0, empty split set) gives the single point (-1/4, 3/4).
     """
     split_set = _checked_split_set(n, split_set)
     l = level_of(n)
+    den = 2 * 3 ** (l + 1)
+    nums = centroid_numerators(l + 1)
     pts = []
-    for w in words(l):
+    for w, left, right in zip(words(l), nums[::2], nums[1::2]):
         if w in split_set:
-            pts.append(u_inverse(n, centroid(w + (1,))))
-            pts.append(u_inverse(n, centroid(w + (2,))))
+            pts.append(u_inverse(n, Fraction(left, den)))
+            pts.append(u_inverse(n, Fraction(right, den)))
         else:
-            pts.append(u_inverse(n, centroid(w)))
-    pts.sort(key=lambda p: p.x)
+            pts.append(u_inverse(n, Fraction(left + right, 2 * den)))
     return PointSet(n, tuple(pts), split_set)
 
 
-@lru_cache(maxsize=None)
-def _unsplit_summand(n: int, w: Word) -> Fraction:
-    l = level_of(n)
+# an enumeration of split sets at one n revisits its 3 * 2**l summands
+@lru_cache(maxsize=4096)
+def _summand(n: int, w: Word) -> Fraction:
     a = centroid(w)
-    return Fraction(1, 2 ** l) * rho(a, u_inverse(n, a))
-
-
-@lru_cache(maxsize=None)
-def _split_summand(n: int, w: Word) -> Fraction:
-    l = level_of(n)
-    a1, a2 = centroid(w + (1,)), centroid(w + (2,))
-    return Fraction(1, 2 ** (l + 1)) * (
-        rho(a1, u_inverse(n, a1)) + rho(a2, u_inverse(n, a2)))
+    return Fraction(1, 2 ** len(w)) * rho(a, u_inverse(n, a))
 
 
 def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
-    """The A-term of the error decomposition, by direct summation."""
+    """The A-term of the error decomposition, by direct summation over the
+    words; the oracle that a_term_closed is tested against."""
     split_set = _checked_split_set(n, split_set)
     l = level_of(n)
     total = Fraction(0)
     for w in words(l):
-        total += _split_summand(n, w) if w in split_set else _unsplit_summand(n, w)
+        if w in split_set:
+            total += _summand(n, w + (1,)) + _summand(n, w + (2,))
+        else:
+            total += _summand(n, w)
     return total
 
 
@@ -117,14 +117,6 @@ def unconstrained_error(n: int) -> Fraction:
     l = level_of(n)
     return Fraction(1, 18 ** l) * VARIANCE * (
         2 ** (l + 1) - n + Fraction(n - 2 ** l, 9))
-
-
-def unconstrained_baseline(
-    n: int, split_set: Iterable[Word] | None = None,
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The unconstrained optimal n-means (the feet of the codebook) and error."""
-    alpha = build_alpha(n, split_set)
-    return alpha.feet(), unconstrained_error(n)
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ def distortion_closed_form(
 ) -> DistortionReport:
     split_set = _checked_split_set(n, split_set)
     variance = unconstrained_error(n)
-    a = a_term(n, split_set)
+    a = a_term_closed(n)
     return DistortionReport(n, variance + a, variance, a, split_set)
 
 

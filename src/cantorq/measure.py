@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -30,9 +29,6 @@ MEAN = Fraction(1, 2)
 
 #: Variance of the Cantor distribution.
 VARIANCE = Fraction(1, 8)
-
-#: Enumerations over {1,2}**k refuse to go beyond this level by default.
-MAX_ENUM_LEVEL = 20
 
 # v(1) of partial_moments: mass, first and second moment of the measure
 _TOTAL = (Fraction(1), MEAN, VARIANCE + MEAN * MEAN)
@@ -64,13 +60,12 @@ def apply_map(word: Word, x: Fraction) -> Fraction:
     return x
 
 
-@lru_cache(maxsize=None)
 def centroid(word: Word) -> Fraction:
     """Conditional mean of the measure on J_word; equals T_word(1/2)."""
     return apply_map(word, MEAN)
 
 
-def centroid_numerators(k: int, max_level: int = MAX_ENUM_LEVEL) -> list[int]:
+def centroid_numerators(k: int) -> list[int]:
     """Sorted numerators of the level-k centroids over the denominator 2*3**k.
 
     Built by the doubling recursion c_k = c_{k-1} u (c_{k-1} + 4*3**(k-1))
@@ -79,8 +74,6 @@ def centroid_numerators(k: int, max_level: int = MAX_ENUM_LEVEL) -> list[int]:
     """
     if k < 1:
         raise ValueError("level must be >= 1")
-    if k > max_level:
-        raise ValueError(f"level {k} exceeds enumeration cap {max_level}")
     nums = [1]
     for i in range(1, k + 1):
         shift = 4 * 3 ** (i - 1)
@@ -88,7 +81,7 @@ def centroid_numerators(k: int, max_level: int = MAX_ENUM_LEVEL) -> list[int]:
     return nums
 
 
-def moment_sum(k: int, m: int, max_level: int = MAX_ENUM_LEVEL) -> int:
+def moment_sum(k: int, m: int) -> int:
     """Sum of m-th powers of the level-k centroid numerators.
 
     Computed by direct summation, then asserted against the closed forms
@@ -96,7 +89,7 @@ def moment_sum(k: int, m: int, max_level: int = MAX_ENUM_LEVEL) -> int:
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m!r}")
-    nums = centroid_numerators(k, max_level=max_level)
+    nums = centroid_numerators(k)
     if m == 1:
         total = sum(nums)
         closed = 6 ** k

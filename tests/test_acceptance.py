@@ -24,7 +24,6 @@ from cantorq import (
     power_of_two_error,
     quantization_error,
     u_inverse,
-    unconstrained_baseline,
     unconstrained_error,
 )
 
@@ -63,8 +62,8 @@ def test_criterion_03_main_theorem_decomposition():
     with budget("3 decomposition V_n = baseline + A", 1):
         for n in range(1, 65):
             report = distortion_closed_form(n)
-            _, baseline = unconstrained_baseline(n)
-            assert report.total == baseline + report.a_term
+            baseline = unconstrained_error(n)
+            assert report.total == baseline + a_term(n)
             assert report.variance_term == baseline
 
 
@@ -150,7 +149,7 @@ def test_criterion_10_voronoi_preservation():
         for n in range(1, 17):
             alpha = build_alpha(n)
             constrained = cell_measures(n, alpha)
-            means, _ = unconstrained_baseline(n)
+            means = alpha.feet()
             cuts = [(means[i] + means[i + 1]) / 2
                     for i in range(len(means) - 1)]
             assert constrained == interval_measures(cuts)

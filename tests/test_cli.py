@@ -56,6 +56,17 @@ def test_optimal_set_invalid_split_set_is_usage_error(capsys):
     assert main(["optimal-set", "--n", "3", "--split-set", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("n", ["24", "48", str(10 ** 18)])
+def test_optimal_set_all_above_row_cap_is_usage_error(capsys, n):
+    # C(16, 8) * 24 = 308880 rows; C(32, 16) is about 6e8 sets
+    code = main(["optimal-set", "--n", n, "--split-set", "all"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_output_is_deterministic(capsys):
     _, first = run(capsys, "optimal-set", "--n", "5", "--split-set", "all")
     _, second = run(capsys, "optimal-set", "--n", "5", "--split-set", "all")

@@ -12,12 +12,13 @@ from cantorq import (
     centroid,
     count_optimal_sets,
     distortion_closed_form,
+    exact_distortion,
     feasible_window,
     level_of,
     power_of_two_error,
     quantization_error,
     u_forward,
-    unconstrained_baseline,
+    u_inverse,
     unconstrained_error,
     words,
 )
@@ -81,6 +82,20 @@ def test_build_alpha_rejects_bad_split_sets():
         build_alpha(2, {(3,)})         # bad letter
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_build_alpha_matches_word_by_word_construction(n):
+    # the pullbacks of the unsplit centroids and the split words' children,
+    # each centroid from the maps, sorted by abscissa
+    l = level_of(n)
+    for ss in admissible_split_sets(n):
+        feet = [centroid(w + c) for w in words(l)
+                for c in ([(1,), (2,)] if w in ss else [()])]
+        expected = sorted(u_inverse(n, t).x for t in feet)
+        alpha = build_alpha(n, ss)
+        assert alpha.abscissas() == tuple(expected)
+        assert alpha.split_set == ss
+
+
 @pytest.mark.parametrize("n", range(1, 33))
 def test_build_alpha_feet_are_centroids(n):
     # independent check: each foot must be a centroid of level l or l+1
@@ -135,30 +150,30 @@ def test_power_of_two_closed_form(level):
 @pytest.mark.parametrize("n", range(1, 65))
 def test_report_decomposition(n):
     report = distortion_closed_form(n)
-    assert report.total == report.variance_term + report.a_term
+    assert report.total == report.variance_term + a_term(n)
+    assert report.a_term == a_term(n)
     assert report.variance_term == unconstrained_error(n)
     l = level_of(n)
     assert report.variance_term == (
         F(1, 18 ** l) * F(1, 8) * (2 ** (l + 1) - n + F(n - 2 ** l, 9)))
 
 
-def test_unconstrained_baseline_examples():
-    means, err = unconstrained_baseline(2)
-    assert means == (F(1, 6), F(5, 6))
-    assert err == F(1, 72)
-    means, err = unconstrained_baseline(1)
-    assert means == (F(1, 2),)
-    assert err == F(1, 8)
-    means, err = unconstrained_baseline(4)
-    assert means == (F(1, 18), F(5, 18), F(13, 18), F(17, 18))
-    assert err == F(1, 648)
+def test_unconstrained_optimum_examples():
+    # the feet of the codebook are the unconstrained optimal n-means
+    assert build_alpha(2).feet() == (F(1, 6), F(5, 6))
+    assert unconstrained_error(2) == F(1, 72)
+    assert build_alpha(1).feet() == (F(1, 2),)
+    assert unconstrained_error(1) == F(1, 8)
+    assert build_alpha(4).feet() == (F(1, 18), F(5, 18), F(13, 18), F(17, 18))
+    assert unconstrained_error(4) == F(1, 648)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_split_set_independence(n):
-    totals = {distortion_closed_form(n, ss).total
-              for ss in admissible_split_sets(n)}
-    assert len(totals) == 1
+    # every split set's codebook, integrated exactly, gives V_n
+    v = quantization_error(n)
+    for ss in admissible_split_sets(n):
+        assert exact_distortion(n, build_alpha(n, ss)) == v
 
 
 def test_error_sequence_monotone_and_bounded():

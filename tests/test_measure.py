@@ -88,10 +88,9 @@ def test_centroid_numerators_match_enumerated_centroids(k):
     assert centroid_numerators(k) == [int(v) for v in expected]
 
 
-def test_centroid_numerators_respects_cap():
-    with pytest.raises(ValueError):
-        centroid_numerators(21)
-    assert len(centroid_numerators(21, max_level=21)) == 2 ** 21
+def test_centroid_numerators_past_the_cli_level_cap():
+    # no cap here: build_alpha needs level l + 1 for every n
+    assert len(centroid_numerators(21)) == 2 ** 21
 
 
 @pytest.mark.parametrize("k", range(1, 13))

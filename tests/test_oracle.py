@@ -21,7 +21,6 @@ from cantorq import (
     lloyd_step,
     rho,
     u_inverse,
-    unconstrained_baseline,
 )
 
 F = Fraction
@@ -217,7 +216,7 @@ def test_interval_measures_rejects_decreasing_boundaries():
 def test_voronoi_measures_preserved(n):
     alpha = build_alpha(n)
     constrained = cell_measures(n, alpha)
-    means, _ = unconstrained_baseline(n)
+    means = alpha.feet()
     midpoints = [(means[i] + means[i + 1]) / 2 for i in range(len(means) - 1)]
     unconstrained = interval_measures(midpoints)
     assert constrained == unconstrained
