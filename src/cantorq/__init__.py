@@ -22,7 +22,6 @@ from .closedform import (
     count_optimal_sets,
     distortion_closed_form,
     level_of,
-    power_of_two_error,
     quantization_error,
     unconstrained_error,
 )
@@ -42,7 +41,6 @@ from .measure import (
     apply_map,
     centroid,
     centroid_numerators,
-    moment_sum,
     partial_moments,
     words,
 )
@@ -53,7 +51,6 @@ from .oracle import (
     dp_optimal,
     dp_optimal_upto,
     exact_distortion,
-    interval_measures,
     lloyd_step,
 )
 

@@ -160,11 +160,3 @@ def quantization_error(n: int) -> Fraction:
     """Exact n-th constrained quantization error V_n, in O(1) operations."""
     return unconstrained_error(n) + a_term_closed(n)
 
-
-def power_of_two_error(level: int) -> Fraction:
-    """V_n at n = 2**level: (1/16) (2**(3-2l) + 2**(3-l) + 9**-l + 3)."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return Fraction(1, 16) * (
-        Fraction(8, 4 ** level) + Fraction(8, 2 ** level)
-        + Fraction(1, 9 ** level) + 3)

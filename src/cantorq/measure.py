@@ -1,4 +1,4 @@
-"""Cantor IFS, centroids, exact moment identities and the integration kernel.
+"""Cantor IFS, centroids and the exact integration kernel.
 
 The generating maps are t1(x) = x/3 and t2(x) = x/3 + 2/3.  A word sigma
 over the alphabet {1, 2} addresses the composition
@@ -79,28 +79,6 @@ def centroid_numerators(k: int) -> list[int]:
         shift = 4 * 3 ** (i - 1)
         nums = nums + [v + shift for v in nums]
     return nums
-
-
-def moment_sum(k: int, m: int) -> int:
-    """Sum of m-th powers of the level-k centroid numerators.
-
-    Computed by direct summation, then asserted against the closed forms
-    6**k (m = 1) and 2**(k-1) * (3*9**k - 1) (m = 2).
-    """
-    if m not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {m!r}")
-    nums = centroid_numerators(k)
-    if m == 1:
-        total = sum(nums)
-        closed = 6 ** k
-    else:
-        total = sum(v * v for v in nums)
-        closed = 2 ** (k - 1) * (3 * 9 ** k - 1)
-    if total != closed:
-        raise ArithmeticError(
-            f"moment enumeration {total} disagrees with closed form {closed} "
-            f"(k={k}, m={m})")
-    return total
 
 
 def _unwind(digits: list[bool], f: int, m1: int, m2: int,

@@ -82,13 +82,6 @@ def cell_measures(n: int, points) -> list[Fraction]:
     return [mass for mass, _, _ in _cells(_prepare(n, points, collapse=False))]
 
 
-def interval_measures(boundaries: Sequence[Fraction]) -> list[Fraction]:
-    """Measures of the cells cut out of the line by increasing boundaries."""
-    if any(b < a for a, b in zip(boundaries, boundaries[1:])):
-        raise ValueError("boundaries must be non-decreasing")
-    return [mass for mass, _, _ in _moments(boundaries)]
-
-
 def lloyd_step(n: int, points) -> PointSet:
     """One constrained Lloyd iteration: recenter each point at the pullback
     of its Voronoi cell's conditional mean.  Distortion never increases."""

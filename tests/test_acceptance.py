@@ -14,20 +14,25 @@ from cantorq import (
     admissible_split_sets,
     build_alpha,
     cell_measures,
+    centroid_numerators,
     dimension_sequence,
     distortion_closed_form,
     dp_optimal_upto,
     exact_distortion,
-    interval_measures,
     lloyd_step,
-    moment_sum,
-    power_of_two_error,
+    partial_moments,
     quantization_error,
     u_inverse,
     unconstrained_error,
 )
 
 F = Fraction
+
+
+def power_of_two_error(level):
+    """V_n at n = 2**level: (1/16) (2**(3-2l) + 2**(3-l) + 9**-l + 3)."""
+    return F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
+                       + F(1, 9 ** level) + 3)
 
 
 @contextmanager
@@ -52,9 +57,6 @@ def test_criterion_02_power_of_two_closed_form():
     with budget("2 V at powers of two", 1):
         for level in range(1, 13):
             total = distortion_closed_form(2 ** level, frozenset()).total
-            expected = F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
-                                   + F(1, 9 ** level) + 3)
-            assert total == expected
             assert total == power_of_two_error(level)
 
 
@@ -135,13 +137,13 @@ def test_criterion_08_coefficient_diverges():
 def test_criterion_09_moment_sums():
     with budget("9 moment sums", 5):
         for k in range(1, 21):
-            assert moment_sum(k, 1) == 6 ** k
+            nums = centroid_numerators(k)
+            assert sum(nums) == 6 ** k
+            assert sum(v * v for v in nums) == 2 ** (k - 1) * (3 * 9 ** k - 1)
         # the m = 2 closed form, with enumeration as ground truth; the value
         # at k = 2 is 484, resolving the 482-vs-484 question in the
         # enumeration's favor (and the recursion's)
-        assert moment_sum(2, 2) == 484 == 2 ** 1 * (3 * 9 ** 2 - 1)
-        for k in range(1, 21):
-            assert moment_sum(k, 2) == 2 ** (k - 1) * (3 * 9 ** k - 1)
+        assert sum(v * v for v in centroid_numerators(2)) == 484
 
 
 def test_criterion_10_voronoi_preservation():
@@ -152,7 +154,8 @@ def test_criterion_10_voronoi_preservation():
             means = alpha.feet()
             cuts = [(means[i] + means[i + 1]) / 2
                     for i in range(len(means) - 1)]
-            assert constrained == interval_measures(cuts)
+            ends = [partial_moments(c)[0] for c in (F(0), *cuts, F(1))]
+            assert constrained == [b - a for a, b in zip(ends, ends[1:])]
 
 
 if __name__ == "__main__":

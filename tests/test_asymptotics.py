@@ -6,12 +6,17 @@ import pytest
 from cantorq import (
     V_INFINITY,
     dimension_sequence,
-    power_of_two_error,
     quantization_error,
     sample_at,
 )
 
 F = Fraction
+
+
+def power_of_two_error(level):
+    """V_n at n = 2**level: (1/16) (2**(3-2l) + 2**(3-l) + 9**-l + 3)."""
+    return F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
+                       + F(1, 9 ** level) + 3)
 
 
 def test_v_infinity_value():

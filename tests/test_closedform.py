@@ -15,7 +15,6 @@ from cantorq import (
     exact_distortion,
     feasible_window,
     level_of,
-    power_of_two_error,
     quantization_error,
     u_forward,
     u_inverse,
@@ -142,7 +141,7 @@ def test_distortion_report_examples():
 def test_power_of_two_closed_form(level):
     expected = F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
                            + F(1, 9 ** level) + 3)
-    assert power_of_two_error(level) == expected
+    assert quantization_error(2 ** level) == expected
     if level <= 10:
         assert distortion_closed_form(2 ** level).total == expected
 

@@ -16,9 +16,9 @@ from cantorq import (
     dp_optimal_upto,
     exact_distortion,
     feasible_window,
-    interval_measures,
     level_of,
     lloyd_step,
+    partial_moments,
     rho,
     u_inverse,
 )
@@ -205,20 +205,14 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
     assert ties > 0  # the tie-break is exercised
 
 
-def test_interval_measures_rejects_decreasing_boundaries():
-    assert interval_measures([F(-1), F(1, 4), F(2)]) == \
-        [0, F(1, 3), F(2, 3), 0]
-    with pytest.raises(ValueError):
-        interval_measures([F(1, 2), F(1, 4)])
-
-
 @pytest.mark.parametrize("n", range(1, 17))
 def test_voronoi_measures_preserved(n):
     alpha = build_alpha(n)
     constrained = cell_measures(n, alpha)
     means = alpha.feet()
     midpoints = [(means[i] + means[i + 1]) / 2 for i in range(len(means) - 1)]
-    unconstrained = interval_measures(midpoints)
+    ends = [partial_moments(c)[0] for c in (F(0), *midpoints, F(1))]
+    unconstrained = [b - a for a, b in zip(ends, ends[1:])]
     assert constrained == unconstrained
     assert sum(constrained) == 1
     # each cell holds one or half of a level-l interval's mass
