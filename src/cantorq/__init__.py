@@ -28,7 +28,6 @@ from .closedform import (
 from .constraint import (
     ConstraintPoint,
     PointSet,
-    bisector_foot,
     feasible_window,
     rho,
     u_forward,

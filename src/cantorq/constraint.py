@@ -64,18 +64,6 @@ def feasible_window(n: int) -> tuple[Fraction, Fraction]:
     return (-Fraction(1, 2 * n), Fraction(1, 2) - Fraction(1, 2 * n))
 
 
-def bisector_foot(p: ConstraintPoint, q: ConstraintPoint) -> Fraction:
-    """Where the perpendicular bisector of p and q crosses the real axis.
-
-    Uses the generic 2-D formula x = (|q|^2 - |p|^2) / (2 (q_x - p_x));
-    for two points on the same S_n this lands at the midpoint of their
-    perpendicular feet, but the computation here does not assume that.
-    """
-    if p.x == q.x and p.j == q.j:
-        raise ValueError("bisector of coincident points is undefined")
-    return ((q.x ** 2 + q.y ** 2) - (p.x ** 2 + p.y ** 2)) / (2 * (q.x - p.x))
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An ordered codebook of n points on S_n.

@@ -30,9 +30,6 @@ MEAN = Fraction(1, 2)
 #: Variance of the Cantor distribution.
 VARIANCE = Fraction(1, 8)
 
-# v(1) of partial_moments: mass, first and second moment of the measure
-_TOTAL = (Fraction(1), MEAN, VARIANCE + MEAN * MEAN)
-
 _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
 
@@ -100,8 +97,9 @@ def _unwind(digits: list[bool], f: int, m1: int, m2: int,
     return f, m1, m2
 
 
-def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact v(x) = (mu[0, x], int_0^x t dmu, int_0^x t**2 dmu) for rational x.
+def moment_numerators(p: int, q: int) -> tuple[int, int, int, int, int]:
+    """v(x) = (mu[0, x], int_0^x t dmu, int_0^x t**2 dmu) at x = p/q, q > 0, as
+    numerators (f, m1, m2) over (2s*2**j, 12s*6**j, 144s*18**j), then s, j.
 
     Self-similarity gives v(x/3) = (F/2, M1/6, M2/18) and
     v(x/3 + 2/3) = (1/2 + F/2, F/3 + M1/6 + 1/12, 2F/9 + 2M1/9 + M2/18 + 1/48)
@@ -109,15 +107,16 @@ def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     middle third [1/3, 2/3].  The orbit x -> 3x mod 1 of a rational is
     eventually periodic: it either reaches the middle third or cycles inside
     the Cantor set, where v is the fixed point of the cycle's affine map,
-    which is lower triangular.  Clamped to v(0) for x <= 0 and v(1) for
-    x >= 1.  See Graf & Luschgy, "The quantization of the Cantor
-    distribution", Math. Nachr. 183 (1997).
+    which is lower triangular.  p/q need not be reduced: the orbit scales
+    with a common factor.  Clamped to v(0) for p <= 0 and v(1) for p >= q.
+    See Graf & Luschgy, "The quantization of the Cantor distribution",
+    Math. Nachr. 183 (1997).
     """
-    if x <= 0:
-        return (Fraction(0),) * 3
-    if x >= 1:
-        return _TOTAL
-    p, q = x.numerator, x.denominator
+    if p <= 0:
+        return 0, 0, 0, 1, 0
+    if p >= q:
+        # (1, 1/2, 3/8) over (2, 12, 144)
+        return 2, 6, 54, 1, 0
     digits: list[bool] = []
     seen: dict[int, int] = {}
     while not q <= 3 * p <= 2 * q and p not in seen:
@@ -141,7 +140,11 @@ def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     else:
         # (1/2, 1/12, 1/48) over (2, 12, 144)
         f, m1, m2, s = 1, 1, 3, 1
-    f, m1, m2 = _unwind(digits, f, m1, m2, s)
-    j = len(digits)
+    return (*_unwind(digits, f, m1, m2, s), s, len(digits))
+
+
+def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact v(x) for rational x, from `moment_numerators`."""
+    f, m1, m2, s, j = moment_numerators(x.numerator, x.denominator)
     return (Fraction(f, 2 * s * 2 ** j), Fraction(m1, 12 * s * 6 ** j),
             Fraction(m2, 144 * s * 18 ** j))

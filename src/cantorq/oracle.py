@@ -1,22 +1,24 @@
 """Independent verification machinery: exact evaluator, Lloyd step, DP search.
 
 Nothing here trusts the closed forms.  The evaluator and the Lloyd step
-integrate the measure over each Voronoi cell of an arbitrary codebook
-exactly, as differences of the kernel `measure.partial_moments` at the cell
-boundaries; the evaluator sums each cell's distortion from its mass and
-first two moments, and the Lloyd step recenters every point at the pullback
-of its cell's conditional mean.  The DP searches globally over all
-placements whose cell boundaries fall on level-k interval edges.
+integrate the measure over each Voronoi cell of an arbitrary codebook in
+one exact integer pass: generic 2-D bisector cuts over a common denominator
+go unreduced to the kernel `measure.moment_numerators`, and each cell's mass
+and first two moments are integer differences at its boundaries.  The Lloyd
+step recenters every point at the pullback of its cell's conditional mean.
+The DP searches globally over all placements whose cell boundaries fall on
+level-k interval edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
-from .constraint import ConstraintPoint, PointSet, bisector_foot, u_inverse
-from .measure import VARIANCE, centroid_numerators, partial_moments
+from .constraint import ConstraintPoint, PointSet, u_inverse
+from .measure import VARIANCE, centroid_numerators, moment_numerators
 
 
 class OracleError(Exception):
@@ -50,20 +52,31 @@ def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
     return tuple(out)
 
 
-_Moments = tuple[Fraction, Fraction, Fraction]
+def _voronoi(pts: Sequence[ConstraintPoint]):
+    """Integer Voronoi cells of sorted points: (e, a, r, cells, den).
 
-
-def _moments(cuts: Sequence[Fraction]) -> list[_Moments]:
-    """(mass, first moment, second moment) of the measure between
-    consecutive cuts, the first cell starting at 0 and the last ending at 1."""
-    vs = [partial_moments(c) for c in (Fraction(0), *cuts, Fraction(1))]
-    return [(b[0] - a[0], b[1] - a[1], b[2] - a[2])
-            for a, b in zip(vs, vs[1:])]
-
-
-def _cells(pts: Sequence[ConstraintPoint]) -> list[_Moments]:
-    """Moments of each sorted point's Voronoi cell, projected to the line."""
-    return _moments([bisector_foot(p, q) for p, q in zip(pts, pts[1:])])
+    Point i is (a_i, c_i)/e over the common denominator e of every x and y,
+    and r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and
+    (b, d)/e, a < b, is the generic 2-D bisector crossing of the real line
+    (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
+    value is brought to one denominator den, so each cell's (mass, M1, M2)
+    are integer differences.
+    """
+    xy = [(p.x, p.y) for p in pts]
+    e = lcm(*(v.denominator for pair in xy for v in pair))
+    a = [x.numerator * (e // x.denominator) for x, _ in xy]
+    r = [u * u + (y.numerator * (e // y.denominator)) ** 2 for u, (_, y) in zip(a, xy)]
+    cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
+    ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
+    # (f, m1, m2) are over (2s*2**j, 12s*6**j, 144s*18**j)
+    den = lcm(*(144 * s * 18 ** j for *_, s, j in ends))
+    vs = []
+    for f, m1, m2, s, j in ends:
+        k = den // (144 * s * 18 ** j)
+        vs.append((f * 72 * 9 ** j * k, m1 * 12 * 3 ** j * k, m2 * k))
+    cells = [(f1 - f0, g1 - g0, h1 - h0)
+             for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
+    return e, a, r, cells, den
 
 
 def exact_distortion(n: int, points) -> Fraction:
@@ -72,14 +85,15 @@ def exact_distortion(n: int, points) -> Fraction:
     Duplicate points collapse to one.  Each cell contributes
     M2 - 2x M1 + (x**2 + y**2) mass for its point (x, y).
     """
-    pts = _prepare(n, points, collapse=True)
-    return sum(m2 - 2 * p.x * m1 + (p.x * p.x + p.y * p.y) * mass
-               for p, (mass, m1, m2) in zip(pts, _cells(pts)))
+    e, a, r, cells, den = _voronoi(_prepare(n, points, collapse=True))
+    return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
+                        for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
 
 
 def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
-    return [mass for mass, _, _ in _cells(_prepare(n, points, collapse=False))]
+    *_, cells, den = _voronoi(_prepare(n, points, collapse=False))
+    return [Fraction(mass, den) for mass, _, _ in cells]
 
 
 def lloyd_step(n: int, points) -> PointSet:
@@ -89,10 +103,10 @@ def lloyd_step(n: int, points) -> PointSet:
     if len(pts) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
     new_pts = []
-    for p, (mass, m1, _) in zip(pts, _cells(pts)):
+    for p, (mass, m1, _) in zip(pts, _voronoi(pts)[3]):
         if mass == 0:
             raise EmptyCellError(f"cell of point {p} has zero measure")
-        new_pts.append(u_inverse(n, m1 / mass))
+        new_pts.append(u_inverse(n, Fraction(m1, mass)))
     return PointSet(n, tuple(new_pts))
 
 
@@ -190,11 +204,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
 
 def dp_optimal(n: int, level: int) -> tuple[PointSet, Fraction]:
     """Globally optimal codebook on S_n over all level-k consecutive
-    groupings, and its exact distortion.
-
-    This is the last entry of `dp_optimal_upto(n, level)`: layers 1..n-1
-    are filled for every start i, the top layer n only in its row i = 0,
-    and every layer value is an unreduced integer pair num/den compared by
-    cross-multiplication.  Ties go to the lexicographically smallest
+    groupings, and its exact distortion: the last entry of
+    `dp_optimal_upto(n, level)`.  Ties go to the lexicographically smallest
     boundaries."""
     return dp_optimal_upto(n, level)[-1]

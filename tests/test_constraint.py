@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from cantorq import (
     ConstraintPoint,
     PointSet,
-    bisector_foot,
+    cell_measures,
     feasible_window,
+    partial_moments,
     rho,
     u_forward,
     u_inverse,
@@ -17,6 +18,8 @@ from cantorq import (
 F = Fraction
 
 unit_rational_st = st.fractions(min_value=0, max_value=1)
+# bounded denominators keep the kernel's orbits short
+small_unit_st = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4)
 index_st = st.integers(min_value=1, max_value=64)
 
 
@@ -110,12 +113,15 @@ def test_nearest_segment_is_the_last_one(num):
         assert min(best) == best[-1]
 
 
-@given(index_st, unit_rational_st, unit_rational_st)
-def test_bisector_foot_is_midpoint_of_feet(j, t1, t2):
+@given(index_st, small_unit_st, small_unit_st)
+def test_voronoi_cut_is_midpoint_of_feet(j, t1, t2):
+    # the oracle cuts at the generic 2-D bisector; for two points on the
+    # same S_j that lands at the midpoint of their perpendicular feet
     if t1 == t2:
         return
-    p, q = u_inverse(j, t1), u_inverse(j, t2)
-    assert bisector_foot(p, q) == (t1 + t2) / 2
+    lo, hi = sorted((t1, t2))
+    left = partial_moments((t1 + t2) / 2)[0]
+    assert cell_measures(j, [u_inverse(j, lo), u_inverse(j, hi)]) == [left, 1 - left]
 
 
 def test_point_set_validation():

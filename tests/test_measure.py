@@ -13,6 +13,7 @@ from cantorq import (
     partial_moments,
     words,
 )
+from cantorq.measure import moment_numerators
 
 F = Fraction
 
@@ -182,3 +183,29 @@ def test_partial_moments_clamps():
     for x in (F(1), F(3, 2)):
         assert partial_moments(x) == total
     assert total == (1, F(1, 2), F(3, 8))
+
+
+# cycles inside the Cantor set, gap midpoints T_w(1/2), and both clamps
+KERNEL_POINTS = [F(1, 4), F(3, 4), F(1, 10), F(570247, 590490),
+                 *(centroid(w) for k in range(4) for w in words(k)),
+                 F(-3, 7), F(0), F(1), F(5, 3)]
+
+
+def _assert_scale_invariant(x):
+    v = partial_moments(x)
+    for g in range(1, 51):
+        f, m1, m2, s, j = moment_numerators(g * x.numerator, g * x.denominator)
+        assert (F(f, 2 * s * 2 ** j), F(m1, 12 * s * 6 ** j),
+                F(m2, 144 * s * 18 ** j)) == v
+
+
+@pytest.mark.parametrize("x", KERNEL_POINTS)
+def test_moment_numerators_ignore_common_factors(x):
+    # the oracle passes cuts unreduced
+    _assert_scale_invariant(x)
+
+
+@settings(max_examples=100)
+@given(st.fractions(min_value=-1, max_value=2, max_denominator=10 ** 4))
+def test_moment_numerators_ignore_common_factors_drawn(x):
+    _assert_scale_invariant(x)

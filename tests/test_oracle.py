@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorq import (
     VARIANCE,
@@ -80,6 +82,53 @@ def test_lloyd_descent_through_boundary_in_cantor_set():
         assert after <= before
         before = after
     assert after >= distortion_closed_form(16).total
+
+
+def _per_cut(n, feet):
+    """The sorted distinct points and their cells' (mass, M1, M2) by the
+    per-cut path: each cut from the generic 2-D bisector formula on
+    Fractions, each cell a difference of `partial_moments`."""
+    pts = sorted({u_inverse(n, t) for t in feet}, key=lambda p: p.x)
+    cuts = [((q.x ** 2 + q.y ** 2) - (p.x ** 2 + p.y ** 2)) / (2 * (q.x - p.x))
+            for p, q in zip(pts, pts[1:])]
+    vs = [partial_moments(c) for c in (F(0), *cuts, F(1))]
+    return pts, [tuple(b - a for a, b in zip(u, w)) for u, w in zip(vs, vs[1:])]
+
+
+def _assert_matches_per_cut(n, feet):
+    pts, cells = _per_cut(n, feet)
+    assert exact_distortion(n, [u_inverse(n, t) for t in feet]) == sum(
+        m2 - 2 * p.x * m1 + (p.x ** 2 + p.y ** 2) * mass
+        for p, (mass, m1, m2) in zip(pts, cells))
+    assert cell_measures(n, pts) == [mass for mass, _, _ in cells]
+    if len(pts) < n:
+        return
+    if any(mass == 0 for mass, _, _ in cells):
+        with pytest.raises(EmptyCellError):
+            lloyd_step(n, pts)
+    else:
+        assert lloyd_step(n, pts).points == tuple(
+            u_inverse(n, m1 / mass) for mass, m1, _ in cells)
+
+
+foot_st = st.sampled_from((2 * 3 ** 5, 3 ** 6, 2 ** 6, 100, 7 * 11 * 13)).flatmap(
+    lambda d: st.integers(0, d).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(foot_st, min_size=1, max_size=12), st.integers(0, 3))
+def test_integer_pass_matches_per_cut_path(feet, repeats):
+    # repeated feet exercise exact_distortion's collapse
+    feet = (feet + feet[:repeats])[:12]
+    _assert_matches_per_cut(len(feet), feet)
+
+
+def test_integer_pass_matches_per_cut_path_on_former_faults():
+    _assert_matches_per_cut(2, [F(0), F(1, 2)])
+    feet = N16_FEET
+    for _ in range(4):
+        _assert_matches_per_cut(16, feet)
+        feet = lloyd_step(16, [u_inverse(16, t) for t in feet]).feet()
 
 
 def test_empty_cell_error():
