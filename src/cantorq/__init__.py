@@ -47,7 +47,6 @@ from .oracle import (
     EmptyCellError,
     OracleError,
     cell_measures,
-    dp_optimal,
     dp_optimal_upto,
     exact_distortion,
     lloyd_step,

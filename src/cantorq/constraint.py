@@ -51,10 +51,7 @@ def u_forward(p: ConstraintPoint) -> Fraction:
 
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
-    x = (Fraction(t) - Fraction(1, j)) / 2
-    if not (-Fraction(1, j) <= x <= 1):
-        raise ValueError(f"{t} is not in the perpendicular image of S_{j}")
-    return ConstraintPoint(j, x)
+    return ConstraintPoint(j, (Fraction(t) - Fraction(1, j)) / 2)
 
 
 def feasible_window(n: int) -> tuple[Fraction, Fraction]:

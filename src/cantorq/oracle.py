@@ -12,6 +12,7 @@ level-k interval edges.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -33,9 +34,9 @@ def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
     if isinstance(points, PointSet):
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
-        pts = points.points
-    else:
-        pts = tuple(points)
+        # PointSet guarantees points on S_n with increasing abscissas
+        return points.points
+    pts = tuple(points)
     if not pts:
         raise ValueError("need at least one point")
     for p in pts:
@@ -125,11 +126,16 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
 
     Layer g (best objective over intervals i..m-1 with g groups) does not
     depend on n, so layers 1..max_n-1 are filled once for every i, and the
-    top layer only at i = 0, by one O(m) scan.  Each layer value is an
-    unreduced integer pair num/den, den being the product of the group
-    sizes; values are compared by cross-multiplication, with no gcd and no
-    Fraction in the search.  A greedy left-to-right reconstruction keeps
-    the lexicographically smallest boundaries among equal-value groupings.
+    top layer only at i = 0.  Each layer value is an unreduced integer pair
+    num/den, den being the product of the group sizes; values are compared
+    by cross-multiplication, with no gcd and no Fraction in the search, and
+    only two layers are alive at once.  Each row records its argmax, the
+    end of its first group, in one array of pointers per layer, and every
+    n's boundaries follow the pointers from i = 0.  The strict comparison
+    keeps each row's leftmost argmax (leftmost maxima of a totally monotone
+    matrix are monotone, so the divide-and-conquer finds them), hence each
+    boundary in turn is the smallest one that still allows the optimum:
+    ties go to the lexicographically smallest boundaries.
     The distortion of each group comes from prefix sums of the numerators
     and of their squares.
     """
@@ -142,15 +148,15 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     pref = [0, *accumulate(nums)]
     pref2 = [0, *accumulate(v * v for v in nums)]
 
-    # layers[g] = (numerators, denominators) of the best objective covering
-    # intervals i..m-1 with g groups
-    layers: list = [None, ([(pref[m] - pref[i]) ** 2 for i in range(m)],
-                           [m - i for i in range(m)])]
+    # (pnum, pden): the best objective covering intervals i..m-1 with g - 1
+    # groups; arg[g][i] is where the first of g groups from i ends
+    pnum = [(pref[m] - pref[i]) ** 2 for i in range(m)]
+    pden = [m - i for i in range(m)]
+    arg = [None, None]
     for g in range(2, max_n + 1):
-        pnum, pden = layers[g - 1]
         # the top layer is needed only at i = 0
         rows = m - g + 1 if g < max_n else 1
-        cnum, cden = [0] * rows, [1] * rows
+        cnum, cden, carg = [0] * rows, [1] * rows, array("l", [0]) * rows
 
         def solve(ilo: int, ihi: int, jlo: int, jhi: int) -> None:
             if ilo > ihi:
@@ -163,31 +169,21 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
                 num, den = d * d * pd + pnum[j] * size, size * pd
                 if num * bd > bn * den:
                     bn, bd, best_j = num, den, j
-            cnum[mid], cden[mid] = bn, bd
+            cnum[mid], cden[mid], carg[mid] = bn, bd, best_j
             solve(ilo, mid - 1, jlo, best_j)
             solve(mid + 1, ihi, best_j, jhi)
 
         solve(0, rows - 1, 1, m - (g - 1))
-        layers.append((cnum, cden))
+        pnum, pden = cnum, cden
+        arg.append(carg)
 
     den0 = 2 * 3 ** level
     floor = VARIANCE / 9 ** level
     results = []
     for n in range(1, max_n + 1):
-        # greedy left-to-right reconstruction keeps boundaries
-        # lexicographically smallest among equal-value partitions
         edges = [0]
-        i, tn, td = 0, layers[n][0][0], layers[n][1][0]
         for g in range(n, 1, -1):
-            pnum, pden = layers[g - 1]
-            for j in range(i + 1, m - (g - 1) + 1):
-                d, size = pref[j] - pref[i], j - i
-                if (d * d * pden[j] + pnum[j] * size) * td == tn * size * pden[j]:
-                    edges.append(j)
-                    i, tn, td = j, pnum[j], pden[j]
-                    break
-            else:
-                raise OracleError("DP reconstruction failed")
+            edges.append(arg[g][edges[-1]])
         edges.append(m)
 
         pts, rho_sum = [], Fraction(0)
@@ -200,11 +196,3 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
                         + size * (p.x * p.x + p.y * p.y))
         results.append((PointSet(n, tuple(pts)), floor + rho_sum / m))
     return results
-
-
-def dp_optimal(n: int, level: int) -> tuple[PointSet, Fraction]:
-    """Globally optimal codebook on S_n over all level-k consecutive
-    groupings, and its exact distortion: the last entry of
-    `dp_optimal_upto(n, level)`.  Ties go to the lexicographically smallest
-    boundaries."""
-    return dp_optimal_upto(n, level)[-1]

@@ -81,7 +81,7 @@ def test_criterion_04_split_set_independence():
 
 def test_criterion_05_dp_oracle_agreement():
     with budget("5 DP oracle agreement", 60):
-        optima = dp_optimal_upto(64, 12)
+        optima = dp_optimal_upto(64, 13)
         for n, (ps, value) in enumerate(optima, start=1):
             assert value == distortion_closed_form(n).total
             assert set(ps.abscissas()) == set(build_alpha(n).abscissas())

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -14,7 +15,6 @@ from cantorq import (
     cell_measures,
     centroid_numerators,
     distortion_closed_form,
-    dp_optimal,
     dp_optimal_upto,
     exact_distortion,
     feasible_window,
@@ -190,24 +190,24 @@ def test_lloyd_descent_from_random_starts(n):
 
 
 def test_dp_examples():
-    _, v1 = dp_optimal(1, 1)
+    _, v1 = dp_optimal_upto(1, 1)[-1]
     assert v1 == F(5, 4)
-    ps2, v2 = dp_optimal(2, 5)
+    ps2, v2 = dp_optimal_upto(2, 5)[-1]
     assert v2 == F(41, 72)
     assert ps2.abscissas() == build_alpha(2).abscissas()
-    ps3, v3 = dp_optimal(3, 5)
+    ps3, v3 = dp_optimal_upto(3, 5)[-1]
     assert v3 == F(67, 162)
     assert ps3.abscissas() == build_alpha(3).abscissas()
 
 
 def test_dp_rejects_too_many_points():
     with pytest.raises(ValueError):
-        dp_optimal(5, 2)
+        dp_optimal_upto(5, 2)[-1]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dp_agrees_with_closed_form_at_level_8(n):
-    ps, v = dp_optimal(n, 8)
+    ps, v = dp_optimal_upto(n, 8)[-1]
     assert v == distortion_closed_form(n).total
     assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
     assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
@@ -252,6 +252,17 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
             assert ps.feet() == feet
             assert value == _per_interval_value(n, level, best_edges)
     assert ties > 0  # the tie-break is exercised
+
+
+def test_dp_keeps_two_layers_of_values():
+    # every layer of integer pairs kept alive would peak near 0.36 MiB
+    tracemalloc.start()
+    try:
+        dp_optimal_upto(16, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", range(1, 17))
