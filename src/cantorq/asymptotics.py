@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import V_INFINITY, quantization_error
+from . import closedform
 
 
 def _log(f: Fraction) -> float:
@@ -37,8 +37,8 @@ class AsymptoticSample:
 def sample_at(n: int) -> AsymptoticSample:
     if n < 2:
         raise ValueError("n must be >= 2")
-    v = quantization_error(n)
-    excess = v - V_INFINITY
+    excess = closedform.excess(n)
+    v = excess + closedform.V_INFINITY  # gcds against 16 only
     if excess <= 0:
         raise ArithmeticError(f"excess must be positive, got {excess} at n={n}")
     dim = 2 * math.log(n) / -_log(excess) if excess < 1 else math.inf

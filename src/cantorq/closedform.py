@@ -142,11 +142,10 @@ def distortion_closed_form(
 def a_term_closed(n: int) -> Fraction:
     """The A-term without enumeration, via the centroid moment identities.
 
-    Splitting a word w replaces its summand by the two-children summand;
-    since the children centroids are a(w) -/+ 3**-(l+1), the replacement
-    changes A by exactly 2**-(l+1) * 9**-(l+1) regardless of w, so A only
-    depends on how many words are split.  The unsplit sum reduces to the
-    level-l first and second centroid moments, which have closed forms.
+    Splitting a word changes A by 2**-(l+1) * 9**-(l+1) whichever word it
+    is, and the unsplit sum reduces to the closed-form level-l centroid
+    moments.  Plus unconstrained_error(n), it derives V_n apart from the
+    integer form of quantization_error, and the tests compare the two.
     """
     l = level_of(n)
     s = Fraction(1, n)
@@ -156,7 +155,18 @@ def a_term_closed(n: int) -> Fraction:
     return base + Fraction(n - 2 ** l, 2 ** (l + 1) * 9 ** (l + 1))
 
 
-def quantization_error(n: int) -> Fraction:
-    """Exact n-th constrained quantization error V_n, in O(1) operations."""
-    return unconstrained_error(n) + a_term_closed(n)
+def _excess_pair(n: int) -> tuple[int, int]:
+    l, n2 = level_of(n), n * n
+    return 72 * 18 ** l * (n + 1) + (17 * 2 ** l - 8 * n) * n2, 144 * 18 ** l * n2
 
+
+def excess(n: int) -> Fraction:
+    """V_n - 3/16 = 1/(2n) + 1/(2n**2) + R(n), R(n) = (17 * 2**l - 8n) /
+    (144 * 18**l) in (0, 9**-l / 16]: one integer over 144 * 18**l * n**2."""
+    return Fraction(*_excess_pair(n))
+
+
+def quantization_error(n: int) -> Fraction:
+    """Exact V_n = 3/16 + excess(n) as one integer pair, reduced once."""
+    num, den = _excess_pair(n)
+    return Fraction(num + 3 * den // 16, den)

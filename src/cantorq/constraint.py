@@ -29,14 +29,17 @@ class ConstraintPoint:
     def __post_init__(self):
         if self.j < 1:
             raise ValueError(f"constraint index must be >= 1, got {self.j}")
-        object.__setattr__(self, "x", Fraction(self.x))
-        if not (-Fraction(1, self.j) <= self.x <= 1):
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        num, den = self.x.numerator, self.x.denominator
+        if not (-den <= self.j * num and num <= den):  # -1/j <= x <= 1
             raise ValueError(
                 f"abscissa {self.x} outside S_{self.j} (needs -1/{self.j} <= x <= 1)")
 
     @property
     def y(self) -> Fraction:
-        return self.x + Fraction(1, self.j)
+        num, den = self.x.numerator, self.x.denominator
+        return Fraction(num * self.j + den, den * self.j)
 
 
 def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
@@ -51,7 +54,9 @@ def u_forward(p: ConstraintPoint) -> Fraction:
 
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
-    return ConstraintPoint(j, (Fraction(t) - Fraction(1, j)) / 2)
+    t = t if type(t) is Fraction else Fraction(t)  # x = (t - 1/j) / 2
+    return ConstraintPoint(j, Fraction(t.numerator * j - t.denominator,
+                                       2 * t.denominator * j))
 
 
 def feasible_window(n: int) -> tuple[Fraction, Fraction]:

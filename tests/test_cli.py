@@ -213,6 +213,15 @@ GOLDEN = [
      "71f8bc510cd6a81d4dd9d7645e033726b22539664cb5fafaf6d54e345e1ee9fe"),
     ("asymptotics --kind coefficient --max-level 40 --plot-data --format csv", 0,
      "370324bee2082bf0389d080c7523e2fd383220acb83fdbb29d9971e42a169ad4"),
+    # the sizes the benchmark's `tables` workload runs
+    ("error-table --max-n 2003 --format csv", 0,
+     "816b4f17ab61b3720c9a440690c5a32e5c9f57085a9f75f19d2d99695047072f"),
+    ("optimal-set --n 2101", 0,
+     "c4497eb3dafb01c7748e1bd9e3cec3938ea5d4fd81eff1ff70a4b7c06e363c56"),
+    ("asymptotics --kind dimension --max-level 1024", 0,
+     "01425ef31faaf23c68398752cad3eb7d74d51e4d10f27fbb9328ca902749114a"),
+    ("asymptotics --kind coefficient --max-level 1024 --format csv", 0,
+     "1f59dc2a88edb9c3e141d68feec9c481a75e6ecd5ee85d9e2a1100e58a11c9bd"),
 ]
 
 

@@ -21,6 +21,7 @@ from cantorq import (
     unconstrained_error,
     words,
 )
+from cantorq.closedform import V_INFINITY, excess
 
 F = Fraction
 
@@ -189,3 +190,46 @@ def test_error_sequence_monotone_and_bounded():
 def test_fast_closed_form_matches_enumeration(n):
     assert a_term_closed(n) == a_term(n)
     assert quantization_error(n) == distortion_closed_form(n).total
+
+
+# every n through 2**12, then both ends of each level up to l = 1100
+EXPANSION_NS = {
+    "small": range(1, 2 ** 12 + 1),
+    "dyadic": sorted({m for l in range(1101)
+                      for m in (2 ** l, 2 ** l + 1, 2 ** (l + 1) - 1)}),
+}
+
+
+def _remainder(n):
+    """R(n) = U(n) - 9**-l / 16 + (n - 2**l) / (2**(l+1) 9**(l+1)), built
+    from the unconstrained error rather than the integer form."""
+    l = level_of(n)
+    return (unconstrained_error(n) - F(1, 16 * 9 ** l)
+            + F(n - 2 ** l, 2 ** (l + 1) * 9 ** (l + 1)))
+
+
+@pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
+def test_integer_form_matches_decomposition(ns):
+    for n in ns:
+        assert quantization_error(n) == unconstrained_error(n) + a_term_closed(n)
+
+
+@pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
+def test_excess_is_error_minus_limit(ns):
+    for n in ns:
+        assert excess(n) == quantization_error(n) - V_INFINITY
+
+
+@pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
+def test_excess_expansion(ns):
+    for n in ns:
+        assert excess(n) == F(1, 2 * n) + F(1, 2 * n * n) + _remainder(n)
+
+
+@pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
+def test_expansion_remainder_bound(ns):
+    for n in ns:
+        l = level_of(n)
+        r, bound = _remainder(n), F(1, 16 * 9 ** l)
+        assert 0 < r <= bound
+        assert (r == bound) == (n == 2 ** l)

@@ -37,6 +37,30 @@ def test_constraint_point_rejects_off_segment():
         ConstraintPoint(0, F(0))
 
 
+@pytest.mark.parametrize("j", range(1, 65))
+def test_constraint_point_range_ends(j):
+    assert ConstraintPoint(j, -F(1, j)).x == -F(1, j)
+    assert ConstraintPoint(j, F(1)).x == 1
+    for x in (-F(1, j) - F(1, 10 ** 6 * j), 1 + F(1, 10 ** 6)):
+        with pytest.raises(ValueError):
+            ConstraintPoint(j, x)
+
+
+def test_constraint_point_wraps_non_fraction_abscissa():
+    for x, expected in ((0, F(0)), ("1/3", F(1, 3))):
+        p = ConstraintPoint(3, x)
+        assert type(p.x) is Fraction and p.x == expected
+
+
+@given(index_st, unit_rational_st)
+def test_ordinate_and_inverse_match_reference(j, u):
+    # x ranges over all of [-1/j, 1]; the reference is plain Fraction algebra
+    x = -F(1, j) + u * (1 + F(1, j))
+    p = ConstraintPoint(j, x)
+    assert p.y == p.x + F(1, p.j)
+    assert u_inverse(j, u).x == (u - F(1, j)) / 2
+
+
 def test_rho_examples():
     assert rho(F(0), ConstraintPoint(1, F(0))) == 1
     assert rho(F(1, 2), ConstraintPoint(1, F(-1, 4))) == F(9, 8)
