@@ -12,7 +12,6 @@ from .asymptotics import (
     sample_at,
 )
 from .closedform import (
-    DistortionReport,
     V_INFINITY,
     a_term,
     a_term_closed,
@@ -20,7 +19,6 @@ from .closedform import (
     build_alpha,
     canonical_split_set,
     count_optimal_sets,
-    distortion_closed_form,
     level_of,
     quantization_error,
     unconstrained_error,

@@ -41,12 +41,9 @@ def sample_at(n: int) -> AsymptoticSample:
     v = excess + closedform.V_INFINITY  # gcds against 16 only
     if excess <= 0:
         raise ArithmeticError(f"excess must be positive, got {excess} at n={n}")
-    dim = 2 * math.log(n) / -_log(excess) if excess < 1 else math.inf
-    coeff_exact = n * n * excess
-    try:
-        coeff = float(coeff_exact)
-    except OverflowError:
-        coeff = math.exp(_log(coeff_exact))
+    dim = 2 * math.log(n) / -_log(excess)
+    # correctly rounded int / int, so float(n * n * excess) without its gcds
+    coeff = n * n * excess.numerator / excess.denominator
     return AsymptoticSample(n, v, excess, dim, coeff)
 
 

@@ -17,12 +17,13 @@ from fractions import Fraction
 
 from . import asymptotics, closedform, oracle
 from .closedform import (
+    a_term_closed,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
     count_optimal_sets,
-    distortion_closed_form,
     quantization_error,
+    unconstrained_error,
 )
 from .measure import Word
 
@@ -102,16 +103,15 @@ def cmd_optimal_set(args) -> int:
     sets = []  # (split words, [(x, y)]) of each codebook
     try:
         for ss in _parse_split_selector(args.split_set, n):
-            alpha = build_alpha(n, ss)
-            sets.append((sorted(word_str(w) for w in alpha.split_set),
+            alpha = build_alpha(n, ss)  # checks the split set
+            sets.append((sorted(word_str(w) for w in ss),
                          [(fmt_rational(p.x), fmt_rational(p.y))
                           for p in alpha.points]))
     except ValueError as exc:
         return _usage_error(str(exc))
-    # the report is the same for every split set
-    report = distortion_closed_form(n)
-    errors = [fmt_rational(v) for v in
-              (report.total, report.variance_term, report.a_term)]
+    # total, variance_term and a_term are the same for every split set
+    errors = [fmt_rational(f(n)) for f in
+              (quantization_error, unconstrained_error, a_term_closed)]
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
         rows = ([ws, [{"x": x, "y": y} for x, y in xys], *errors]
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
             oracle.dp_optimal_upto(args.max_n, args.level), start=1):
         try:
             alpha = build_alpha(n)
-            closed = distortion_closed_form(n).total
+            closed = quantization_error(n)
             rows.append([n, fmt_rational(dp_value), fmt_rational(closed),
                          dp_value == closed,
                          set(dp_set.abscissas()) == set(alpha.abscissas()),

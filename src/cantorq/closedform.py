@@ -14,7 +14,6 @@ instead of on the real line.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -88,7 +87,7 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
             pts.append(u_inverse(n, Fraction(right, den)))
         else:
             pts.append(u_inverse(n, Fraction(left + right, 2 * den)))
-    return PointSet(n, tuple(pts), split_set)
+    return PointSet(n, tuple(pts))
 
 
 # an enumeration of split sets at one n revisits its 3 * 2**l summands
@@ -117,26 +116,6 @@ def unconstrained_error(n: int) -> Fraction:
     l = level_of(n)
     return Fraction(1, 18 ** l) * VARIANCE * (
         2 ** (l + 1) - n + Fraction(n - 2 ** l, 9))
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Exact error of a closed-form codebook, split into its two parts."""
-
-    n: int
-    total: Fraction
-    variance_term: Fraction
-    a_term: Fraction
-    split_set: frozenset[Word]
-
-
-def distortion_closed_form(
-    n: int, split_set: Iterable[Word] | None = None,
-) -> DistortionReport:
-    split_set = _checked_split_set(n, split_set)
-    variance = unconstrained_error(n)
-    a = a_term_closed(n)
-    return DistortionReport(n, variance + a, variance, a, split_set)
 
 
 def a_term_closed(n: int) -> Fraction:

@@ -9,10 +9,8 @@ package happen on the line through that bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-from .measure import Word
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,10 @@ def feasible_window(n: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered codebook of n points on S_n.
-
-    split_set records the set of level-l words whose children were used to
-    build the codebook (empty when n is a power of two, or when the set was
-    not produced by the closed-form construction).
-    """
+    """An ordered codebook of n points on S_n."""
 
     n: int
     points: tuple[ConstraintPoint, ...]
-    split_set: frozenset[Word] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.n < 1:

@@ -11,12 +11,12 @@ import pytest
 from cantorq import (
     EmptyCellError,
     a_term,
+    a_term_closed,
     admissible_split_sets,
     build_alpha,
     cell_measures,
     centroid_numerators,
     dimension_sequence,
-    distortion_closed_form,
     dp_optimal_upto,
     exact_distortion,
     lloyd_step,
@@ -49,24 +49,22 @@ def test_criterion_01_one_point_optimum():
         alpha = build_alpha(1)
         p = alpha.points[0]
         assert (p.x, p.y) == (F(-1, 4), F(3, 4))
-        assert distortion_closed_form(1).total == F(5, 4)
+        assert unconstrained_error(1) + a_term_closed(1) == F(5, 4)
         assert exact_distortion(1, alpha) == F(5, 4)
 
 
 def test_criterion_02_power_of_two_closed_form():
     with budget("2 V at powers of two", 1):
         for level in range(1, 13):
-            total = distortion_closed_form(2 ** level, frozenset()).total
+            n = 2 ** level
+            total = unconstrained_error(n) + a_term_closed(n)
             assert total == power_of_two_error(level)
 
 
 def test_criterion_03_main_theorem_decomposition():
     with budget("3 decomposition V_n = baseline + A", 1):
         for n in range(1, 65):
-            report = distortion_closed_form(n)
-            baseline = unconstrained_error(n)
-            assert report.total == baseline + a_term(n)
-            assert report.variance_term == baseline
+            assert quantization_error(n) == unconstrained_error(n) + a_term(n)
 
 
 def test_criterion_04_split_set_independence():
@@ -83,7 +81,7 @@ def test_criterion_05_dp_oracle_agreement():
     with budget("5 DP oracle agreement", 60):
         optima = dp_optimal_upto(64, 13)
         for n, (ps, value) in enumerate(optima, start=1):
-            assert value == distortion_closed_form(n).total
+            assert value == unconstrained_error(n) + a_term_closed(n)
             assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
 
 

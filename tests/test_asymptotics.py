@@ -9,6 +9,7 @@ from cantorq import (
     quantization_error,
     sample_at,
 )
+from cantorq.closedform import excess
 
 F = Fraction
 
@@ -89,6 +90,22 @@ def test_coefficient_sequence_diverges():
     # consecutive ratios approach 2
     for i in range(24, len(coeffs) - 1):
         assert abs(coeffs[i + 1] / coeffs[i] - 2.0) < 0.01
+
+
+# every n through 2**12, then each side of every power of two up to 2**1024
+COEFF_NS = sorted(set(range(2, 2 ** 12 + 1))
+                  | {m for l in range(2, 1025)
+                     for m in (2 ** l - 1, 2 ** l, 2 ** l + 1)})
+
+
+def test_coefficient_is_the_rounded_exact_value():
+    for n in COEFF_NS:
+        assert sample_at(n).coeff_estimate == float(n * n * excess(n))
+
+
+def test_coefficient_overflows_past_level_1024():
+    with pytest.raises(OverflowError):
+        sample_at(2 ** 1025)
 
 
 def test_sequences_reject_bad_arguments():

@@ -222,6 +222,15 @@ GOLDEN = [
      "01425ef31faaf23c68398752cad3eb7d74d51e4d10f27fbb9328ca902749114a"),
     ("asymptotics --kind coefficient --max-level 1024 --format csv", 0,
      "1f59dc2a88edb9c3e141d68feec9c481a75e6ecd5ee85d9e2a1100e58a11c9bd"),
+    # unsorted split words; the benchmark's `--split-set all` operation
+    ("optimal-set --n 7 --split-set 22,11,21", 0,
+     "3b9b81b1c5009e44d26fe6fcb9fd2a0944905d96131d9d3ad8549203e812505c"),
+    ("optimal-set --n 7 --split-set 22,11,21 --format csv", 0,
+     "2de816c4390913999c78a324c3374e0ae0632883fcb5c40a1128ab1df6c20e04"),
+    ("optimal-set --n 18 --split-set all --format csv", 0,
+     "8e0cc8194db23ae0f7c322d0149a8af67f36db3abcdb34bf833c76a2892b4bd0"),
+    ("verify --max-n 8 --level 6 --format csv", 0,
+     "548cc9cee254f6db16e71861a477d6c3f67f4419bb21ef0f4393b557ee940049"),
 ]
 
 

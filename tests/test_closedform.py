@@ -11,7 +11,6 @@ from cantorq import (
     canonical_split_set,
     centroid,
     count_optimal_sets,
-    distortion_closed_form,
     exact_distortion,
     feasible_window,
     level_of,
@@ -93,7 +92,6 @@ def test_build_alpha_matches_word_by_word_construction(n):
         expected = sorted(u_inverse(n, t).x for t in feet)
         alpha = build_alpha(n, ss)
         assert alpha.abscissas() == tuple(expected)
-        assert alpha.split_set == ss
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -133,9 +131,8 @@ def test_a_term_power_of_two_shortcut(level):
 
 
 def test_distortion_report_examples():
-    assert distortion_closed_form(1).total == F(5, 4)
-    assert distortion_closed_form(2).total == F(41, 72)
-    assert distortion_closed_form(3).total == F(67, 162)
+    for n, v in ((1, F(5, 4)), (2, F(41, 72)), (3, F(67, 162))):
+        assert unconstrained_error(n) + a_term_closed(n) == v
 
 
 @pytest.mark.parametrize("level", range(0, 13))
@@ -144,17 +141,15 @@ def test_power_of_two_closed_form(level):
                            + F(1, 9 ** level) + 3)
     assert quantization_error(2 ** level) == expected
     if level <= 10:
-        assert distortion_closed_form(2 ** level).total == expected
+        assert (unconstrained_error(2 ** level)
+                + a_term_closed(2 ** level)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_report_decomposition(n):
-    report = distortion_closed_form(n)
-    assert report.total == report.variance_term + a_term(n)
-    assert report.a_term == a_term(n)
-    assert report.variance_term == unconstrained_error(n)
+    assert a_term_closed(n) == a_term(n)
     l = level_of(n)
-    assert report.variance_term == (
+    assert unconstrained_error(n) == (
         F(1, 18 ** l) * F(1, 8) * (2 ** (l + 1) - n + F(n - 2 ** l, 9)))
 
 
@@ -179,7 +174,7 @@ def test_split_set_independence(n):
 def test_error_sequence_monotone_and_bounded():
     prev = None
     for n in range(1, 65):
-        v = distortion_closed_form(n).total
+        v = unconstrained_error(n) + a_term_closed(n)
         assert v > F(3, 16)
         if prev is not None:
             assert v < prev
@@ -189,7 +184,7 @@ def test_error_sequence_monotone_and_bounded():
 @pytest.mark.parametrize("n", range(1, 65))
 def test_fast_closed_form_matches_enumeration(n):
     assert a_term_closed(n) == a_term(n)
-    assert quantization_error(n) == distortion_closed_form(n).total
+    assert quantization_error(n) == unconstrained_error(n) + a_term_closed(n)
 
 
 # every n through 2**12, then both ends of each level up to l = 1100

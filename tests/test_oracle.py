@@ -11,10 +11,10 @@ from cantorq import (
     VARIANCE,
     ConstraintPoint,
     EmptyCellError,
+    a_term_closed,
     build_alpha,
     cell_measures,
     centroid_numerators,
-    distortion_closed_form,
     dp_optimal_upto,
     exact_distortion,
     feasible_window,
@@ -23,6 +23,7 @@ from cantorq import (
     partial_moments,
     rho,
     u_inverse,
+    unconstrained_error,
 )
 
 F = Fraction
@@ -39,7 +40,8 @@ def test_exact_distortion_matches_closed_form_small():
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_exact_distortion_agrees_with_closed_form(n):
-    assert exact_distortion(n, build_alpha(n)) == distortion_closed_form(n).total
+    assert exact_distortion(n, build_alpha(n)) == (
+        unconstrained_error(n) + a_term_closed(n))
 
 
 def test_exact_distortion_collapses_duplicates():
@@ -81,7 +83,7 @@ def test_lloyd_descent_through_boundary_in_cantor_set():
         after = exact_distortion(16, current)
         assert after <= before
         before = after
-    assert after >= distortion_closed_form(16).total
+    assert after >= unconstrained_error(16) + a_term_closed(16)
 
 
 def _per_cut(n, feet):
@@ -177,7 +179,7 @@ def _random_start(rng, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lloyd_descent_from_random_starts(n):
     rng = random.Random(20240 + n)
-    optimum = distortion_closed_form(n).total
+    optimum = unconstrained_error(n) + a_term_closed(n)
     for _ in range(25):
         pts = _random_start(rng, n)
         try:
@@ -208,7 +210,7 @@ def test_dp_rejects_too_many_points():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal_upto(n, 8)[-1]
-    assert v == distortion_closed_form(n).total
+    assert v == unconstrained_error(n) + a_term_closed(n)
     assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
     assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
 
