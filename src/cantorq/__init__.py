@@ -27,6 +27,7 @@ from .constraint import (
     ConstraintPoint,
     PointSet,
     feasible_window,
+    foot_point,
     rho,
     u_forward,
     u_inverse,

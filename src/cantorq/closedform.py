@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .constraint import PointSet, rho, u_inverse
+from .constraint import PointSet, foot_point, rho, u_inverse
 from .measure import VARIANCE, Word, centroid, centroid_numerators, words
 
 V_INFINITY = Fraction(3, 16)
@@ -83,10 +83,10 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
     pts = []
     for w, left, right in zip(words(l), nums[::2], nums[1::2]):
         if w in split_set:
-            pts.append(u_inverse(n, Fraction(left, den)))
-            pts.append(u_inverse(n, Fraction(right, den)))
+            pts.append(foot_point(n, left, den))
+            pts.append(foot_point(n, right, den))
         else:
-            pts.append(u_inverse(n, Fraction(left + right, 2 * den)))
+            pts.append(foot_point(n, left + right, 2 * den))
     return PointSet(n, tuple(pts))
 
 

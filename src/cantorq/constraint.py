@@ -50,11 +50,16 @@ def u_forward(p: ConstraintPoint) -> Fraction:
     return 2 * p.x + Fraction(1, p.j)
 
 
+def foot_point(j: int, num: int, den: int) -> ConstraintPoint:
+    """Point of S_j whose perpendicular foot is num/den, den > 0, built with
+    one Fraction: x = (num*j - den) / (2*den*j); rejects feet outside the image."""
+    return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
+
+
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
-    t = t if type(t) is Fraction else Fraction(t)  # x = (t - 1/j) / 2
-    return ConstraintPoint(j, Fraction(t.numerator * j - t.denominator,
-                                       2 * t.denominator * j))
+    t = t if type(t) is Fraction else Fraction(t)
+    return foot_point(j, t.numerator, t.denominator)
 
 
 def feasible_window(n: int) -> tuple[Fraction, Fraction]:
@@ -66,7 +71,9 @@ def feasible_window(n: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered codebook of n points on S_n."""
+    """An ordered codebook of n points on S_n, checked by integer comparisons:
+    x = num/den is feasible when -den <= 2n*num <= (n-1)*den, and abscissas
+    increase by cross-multiplication."""
 
     n: int
     points: tuple[ConstraintPoint, ...]
@@ -77,17 +84,18 @@ class PointSet:
         if len(self.points) != self.n:
             raise ValueError(
                 f"expected {self.n} points, got {len(self.points)}")
-        lo, hi = feasible_window(self.n)
-        prev = None
+        n, pnum, pden = self.n, -1, 0  # no previous abscissa: -1/0 is below all
         for p in self.points:
-            if p.j != self.n:
-                raise ValueError(f"point {p} is not on S_{self.n}")
-            if not (lo <= p.x <= hi):
+            if p.j != n:
+                raise ValueError(f"point {p} is not on S_{n}")
+            num, den = p.x.numerator, p.x.denominator
+            if not -den <= 2 * n * num <= (n - 1) * den:
+                lo, hi = feasible_window(n)
                 raise ValueError(
                     f"abscissa {p.x} outside feasible window [{lo}, {hi}]")
-            if prev is not None and p.x <= prev:
+            if num * pden <= pnum * den:
                 raise ValueError("abscissas must be strictly increasing")
-            prev = p.x
+            pnum, pden = num, den
 
     def abscissas(self) -> tuple[Fraction, ...]:
         return tuple(p.x for p in self.points)

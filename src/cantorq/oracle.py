@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .constraint import ConstraintPoint, PointSet, u_inverse
+from .constraint import ConstraintPoint, PointSet, foot_point
 from .measure import VARIANCE, centroid_numerators, moment_numerators
 
 
@@ -53,20 +53,20 @@ def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
     return tuple(out)
 
 
-def _voronoi(pts: Sequence[ConstraintPoint]):
-    """Integer Voronoi cells of sorted points: (e, a, r, cells, den).
+def _voronoi(n: int, pts: Sequence[ConstraintPoint]):
+    """Integer Voronoi cells of sorted points on S_n: (e, a, r, cells, den).
 
-    Point i is (a_i, c_i)/e over the common denominator e of every x and y,
-    and r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and
-    (b, d)/e, a < b, is the generic 2-D bisector crossing of the real line
-    (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
-    value is brought to one denominator den, so each cell's (mass, M1, M2)
-    are integer differences.
+    Point i is (a_i, c_i)/e over e = lcm(n, abscissa denominators), a common
+    denominator of every x and of every y = x + 1/n, so the ordinate numerator
+    is c_i = a_i + e/n; r_i = a_i**2 + c_i**2.  The cut between neighbours
+    (a, c)/e and (b, d)/e, a < b, is the generic 2-D bisector crossing of the
+    real line (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every
+    kernel value is brought to one denominator den, so each cell's
+    (mass, M1, M2) are integer differences.
     """
-    xy = [(p.x, p.y) for p in pts]
-    e = lcm(*(v.denominator for pair in xy for v in pair))
-    a = [x.numerator * (e // x.denominator) for x, _ in xy]
-    r = [u * u + (y.numerator * (e // y.denominator)) ** 2 for u, (_, y) in zip(a, xy)]
+    e = lcm(n, *(p.x.denominator for p in pts))
+    a = [p.x.numerator * (e // p.x.denominator) for p in pts]
+    r = [u * u + (u + e // n) ** 2 for u in a]
     cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
     ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
     # (f, m1, m2) are over (2s*2**j, 12s*6**j, 144s*18**j)
@@ -86,14 +86,14 @@ def exact_distortion(n: int, points) -> Fraction:
     Duplicate points collapse to one.  Each cell contributes
     M2 - 2x M1 + (x**2 + y**2) mass for its point (x, y).
     """
-    e, a, r, cells, den = _voronoi(_prepare(n, points, collapse=True))
+    e, a, r, cells, den = _voronoi(n, _prepare(n, points, collapse=True))
     return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
                         for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
 
 
 def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
-    *_, cells, den = _voronoi(_prepare(n, points, collapse=False))
+    *_, cells, den = _voronoi(n, _prepare(n, points, collapse=False))
     return [Fraction(mass, den) for mass, _, _ in cells]
 
 
@@ -104,10 +104,10 @@ def lloyd_step(n: int, points) -> PointSet:
     if len(pts) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
     new_pts = []
-    for p, (mass, m1, _) in zip(pts, _voronoi(pts)[3]):
+    for p, (mass, m1, _) in zip(pts, _voronoi(n, pts)[3]):
         if mass == 0:
             raise EmptyCellError(f"cell of point {p} has zero measure")
-        new_pts.append(u_inverse(n, Fraction(m1, mass)))
+        new_pts.append(foot_point(n, m1, mass))
     return PointSet(n, tuple(new_pts))
 
 
@@ -189,7 +189,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         pts, rho_sum = [], Fraction(0)
         for i, j in zip(edges, edges[1:]):
             s1, s2, size = pref[j] - pref[i], pref2[j] - pref2[i], j - i
-            p = u_inverse(n, Fraction(s1, size * den0))
+            p = foot_point(n, s1, size * den0)
             pts.append(p)
             # sum of rho(t / den0, p) over the group's numerators t
             rho_sum += (Fraction(s2, den0 * den0) - 2 * p.x * Fraction(s1, den0)

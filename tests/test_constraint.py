@@ -152,11 +152,51 @@ def test_point_set_validation():
     good = PointSet(2, (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6))))
     assert good.abscissas() == (F(-1, 6), F(1, 6))
     assert good.feet() == (F(1, 6), F(5, 6))
-    with pytest.raises(ValueError):  # not strictly increasing
+    with pytest.raises(ValueError, match="^abscissas must be strictly increasing$"):
         PointSet(2, (ConstraintPoint(2, F(1, 6)), ConstraintPoint(2, F(-1, 6))))
-    with pytest.raises(ValueError):  # wrong cardinality
+    with pytest.raises(ValueError, match="^expected 3 points, got 1$"):
         PointSet(3, (ConstraintPoint(3, F(0)),))
-    with pytest.raises(ValueError):  # outside the feasible window
+    with pytest.raises(ValueError, match=r"^abscissa 1/2 outside feasible window \[-1/4, 1/4\]$"):
         PointSet(2, (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 2))))
-    with pytest.raises(ValueError):  # wrong constraint index
+    with pytest.raises(ValueError, match="is not on S_2$"):
         PointSet(2, (ConstraintPoint(3, F(-1, 6)), ConstraintPoint(2, F(1, 6))))
+
+
+def _abscissa_st(n):
+    """Abscissas on S_n: the window ends, and grid points of [-1/n, 1/2],
+    which reaches 1/(2n) past either end of the window."""
+    lo, hi = feasible_window(n)
+    return st.one_of(st.sampled_from((lo, hi)),
+                     *(st.integers(-(d // n), d // 2).map(lambda a, d=d: F(a, d))
+                       for d in (12 * n, 13)))
+
+
+ABSCISSA_STS = {n: _abscissa_st(n) for n in range(1, 9)}
+
+
+@st.composite
+def abscissas_st(draw):
+    """n distinct sorted abscissas on S_n; then one neighbour copied or one
+    pair swapped in some draws."""
+    n = draw(st.integers(1, 8))
+    xs = sorted(draw(st.lists(ABSCISSA_STS[n], min_size=n, max_size=n, unique=True)))
+    i, edit = draw(st.integers(1, n)), draw(st.sampled_from(("none", "copy", "swap")))
+    if i < n and edit == "copy":
+        xs[i] = xs[i - 1]
+    elif i < n and edit == "swap":
+        xs[i - 1], xs[i] = xs[i], xs[i - 1]
+    return n, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(abscissas_st())
+def test_point_set_accepts_what_the_fraction_reference_accepts(drawn):
+    n, xs = drawn
+    lo, hi = feasible_window(n)
+    expected = all(lo <= x <= hi for x in xs) and all(a < b for a, b in zip(xs, xs[1:]))
+    try:
+        PointSet(n, tuple(ConstraintPoint(n, x) for x in xs))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected

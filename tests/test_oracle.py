@@ -103,9 +103,10 @@ def _assert_matches_per_cut(n, feet):
         m2 - 2 * p.x * m1 + (p.x ** 2 + p.y ** 2) * mass
         for p, (mass, m1, m2) in zip(pts, cells))
     assert cell_measures(n, pts) == [mass for mass, _, _ in cells]
-    if len(pts) < n:
-        return
-    if any(mass == 0 for mass, _, _ in cells):
+    if len(pts) != n:
+        with pytest.raises(ValueError, match="need exactly"):
+            lloyd_step(n, pts)
+    elif any(mass == 0 for mass, _, _ in cells):
         with pytest.raises(EmptyCellError):
             lloyd_step(n, pts)
     else:
@@ -117,12 +118,31 @@ foot_st = st.sampled_from((2 * 3 ** 5, 3 ** 6, 2 ** 6, 100, 7 * 11 * 13)).flatma
     lambda d: st.integers(0, d).map(lambda a: F(a, d)))
 
 
+def _descent_feet(k, size):
+    """Distinct level-k centroids over 2*3**k, as the descent benchmark draws them."""
+    return st.lists(st.sampled_from(centroid_numerators(k)), min_size=size,
+                    max_size=size, unique=True).map(
+        lambda nums: [F(a, 2 * 3 ** k) for a in sorted(nums)])
+
+
+@st.composite
+def codebook_st(draw):
+    # n is drawn apart from the feet, so it shares factors with their
+    # denominators in some examples and not in others; a codebook of n feet
+    # keeps lloyd_step in play
+    n = draw(st.integers(1, 24))
+    size = draw(st.one_of(st.just(n), st.integers(1, 24)))
+    feet = draw(st.one_of(st.lists(foot_st, min_size=size, max_size=size),
+                          st.integers(5, 8).flatmap(lambda k: _descent_feet(k, size))))
+    return n, feet
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(foot_st, min_size=1, max_size=12), st.integers(0, 3))
-def test_integer_pass_matches_per_cut_path(feet, repeats):
+@given(codebook_st(), st.integers(0, 3))
+def test_integer_pass_matches_per_cut_path(codebook, repeats):
+    n, feet = codebook
     # repeated feet exercise exact_distortion's collapse
-    feet = (feet + feet[:repeats])[:12]
-    _assert_matches_per_cut(len(feet), feet)
+    _assert_matches_per_cut(n, feet + feet[:repeats])
 
 
 def test_integer_pass_matches_per_cut_path_on_former_faults():
@@ -280,3 +300,18 @@ def test_voronoi_measures_preserved(n):
     # each cell holds one or half of a level-l interval's mass
     l = level_of(n)
     assert set(constrained) <= {F(1, 2 ** l), F(1, 2 ** (l + 1))}
+
+
+def test_oracle_reads_no_ordinate(monkeypatch):
+    # the integer pass takes every ordinate numerator as a + e/n
+    codebooks = {n: build_alpha(n) for n in range(1, 17)}
+    expected = {n: (exact_distortion(n, ps), cell_measures(n, ps), lloyd_step(n, ps))
+                for n, ps in codebooks.items()}
+
+    def no_ordinate(p):
+        raise AssertionError(f"ordinate of {p} read")
+
+    monkeypatch.setattr(ConstraintPoint, "y", property(no_ordinate))
+    for n, ps in codebooks.items():
+        assert (exact_distortion(n, ps), cell_measures(n, ps),
+                lloyd_step(n, ps)) == expected[n]
