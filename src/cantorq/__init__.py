@@ -14,7 +14,6 @@ from .asymptotics import (
 from .closedform import (
     V_INFINITY,
     a_term,
-    a_term_closed,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,

@@ -1,10 +1,10 @@
 """Limiting behavior of the constrained error sequence.
 
 V_n decreases to 3/16, the squared perpendicular distance from the mean
-to the limiting constraint line y = x.  The excess V_n - 3/16 decays like
-2**-l (not like a power of n**(-1/d) for finite d), so the dimension
-estimate 2 log n / (-log excess) tends to 2 while the coefficient
-n**2 * excess grows without bound.
+to the limiting constraint line y = x.  By the foot identity of
+`closedform`, the excess V_n - 3/16 is 1/(2n) + 1/(2n**2) + U_n/2, so
+n * excess tends to 1/2: the dimension estimate 2 log n / (-log excess)
+tends to 2 while the coefficient n**2 * excess grows without bound.
 
 The only module allowed to produce floats: every excess is computed as an
 exact rational first and only its logarithm is floating point.
@@ -39,8 +39,6 @@ def sample_at(n: int) -> AsymptoticSample:
         raise ValueError("n must be >= 2")
     excess = closedform.excess(n)
     v = excess + closedform.V_INFINITY  # gcds against 16 only
-    if excess <= 0:
-        raise ArithmeticError(f"excess must be positive, got {excess} at n={n}")
     dim = 2 * math.log(n) / -_log(excess)
     # correctly rounded int / int, so float(n * n * excess) without its gcds
     coeff = n * n * excess.numerator / excess.denominator

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import asymptotics, closedform, oracle
 from .closedform import (
-    a_term_closed,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
@@ -109,9 +108,9 @@ def cmd_optimal_set(args) -> int:
                           for p in alpha.points]))
     except ValueError as exc:
         return _usage_error(str(exc))
-    # total, variance_term and a_term are the same for every split set
-    errors = [fmt_rational(f(n)) for f in
-              (quantization_error, unconstrained_error, a_term_closed)]
+    # V_n, U_n and a_term = V_n - U_n are the same for every split set
+    v, u = quantization_error(n), unconstrained_error(n)
+    errors = [fmt_rational(e) for e in (v, u, v - u)]
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
         rows = ([ws, [{"x": x, "y": y} for x, y in xys], *errors]

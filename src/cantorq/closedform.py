@@ -1,14 +1,17 @@
 """Closed-form optimal codebooks and their exact error quantities.
 
-For n with 2**l <= n < 2**(l+1), an optimal codebook is built from the
-level-l centroids, with n - 2**l of the level-l words "split" into their
-two children; any choice of split words gives the same error.  The total
-error decomposes exactly as
+For a point p on S_n with foot u_p = 2x + 1/n and a real t,
 
-    total = (unconstrained n-means error) + A,
+    rho(t, p) = (u_p - t)**2 / 2 + (t + 1/n)**2 / 2,
 
-where A is the extra distortion forced by the points sitting on S_n
-instead of on the real line.
+and the second term does not depend on the codebook.  So the optimal
+codebook is the pullback of the unconstrained optimal n-means of Graf &
+Luschgy, "The quantization of the Cantor distribution", Math. Nachr. 183
+(1997), and for X Cantor distributed, with U_n their error,
+V_n = U_n/2 + E(X + 1/n)**2 / 2 = U_n/2 + 3/16 + (n+1)/(2n**2).
+For 2**l <= n < 2**(l+1), those n-means are the level-l centroids with
+n - 2**l of the level-l words "split" into their two children; any choice
+of split words gives the same error.  The A-term is A = V_n - U_n.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .constraint import PointSet, foot_point, rho, u_inverse
-from .measure import VARIANCE, Word, centroid, centroid_numerators, words
+from .measure import Word, centroid, centroid_numerators, words
 
 V_INFINITY = Fraction(3, 16)
 
@@ -98,8 +101,8 @@ def _summand(n: int, w: Word) -> Fraction:
 
 
 def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
-    """The A-term of the error decomposition, by direct summation over the
-    words; the oracle that a_term_closed is tested against."""
+    """The A-term V_n - U_n by direct summation over the words, an oracle
+    that does not use the foot identity."""
     split_set = _checked_split_set(n, split_set)
     l = level_of(n)
     total = Fraction(0)
@@ -111,37 +114,26 @@ def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
     return total
 
 
+def _residual(n: int) -> tuple[int, int]:
+    """R(n) = U_n / 2 = (17 * 2**l - 8n) / (144 * 18**l) as an integer pair."""
+    l = level_of(n)
+    return 17 * 2 ** l - 8 * n, 144 * 18 ** l
+
+
 def unconstrained_error(n: int) -> Fraction:
-    """The unconstrained optimal n-means error for the Cantor distribution."""
-    l = level_of(n)
-    return Fraction(1, 18 ** l) * VARIANCE * (
-        2 ** (l + 1) - n + Fraction(n - 2 ** l, 9))
-
-
-def a_term_closed(n: int) -> Fraction:
-    """The A-term without enumeration, via the centroid moment identities.
-
-    Splitting a word changes A by 2**-(l+1) * 9**-(l+1) whichever word it
-    is, and the unsplit sum reduces to the closed-form level-l centroid
-    moments.  Plus unconstrained_error(n), it derives V_n apart from the
-    integer form of quantization_error, and the tests compare the two.
-    """
-    l = level_of(n)
-    s = Fraction(1, n)
-    sum_a = Fraction(2 ** l, 2)
-    sum_a2 = Fraction(2 ** l * (3 * 9 ** l - 1), 8 * 9 ** l)
-    base = (sum_a2 + 2 * s * sum_a + 2 ** l * s * s) / 2 ** (l + 1)
-    return base + Fraction(n - 2 ** l, 2 ** (l + 1) * 9 ** (l + 1))
+    """The unconstrained optimal n-means error U_n = 2 R(n)."""
+    num, den = _residual(n)
+    return Fraction(2 * num, den)
 
 
 def _excess_pair(n: int) -> tuple[int, int]:
-    l, n2 = level_of(n), n * n
-    return 72 * 18 ** l * (n + 1) + (17 * 2 ** l - 8 * n) * n2, 144 * 18 ** l * n2
+    num, den = _residual(n)
+    return den // 2 * (n + 1) + num * n * n, den * n * n
 
 
 def excess(n: int) -> Fraction:
-    """V_n - 3/16 = 1/(2n) + 1/(2n**2) + R(n), R(n) = (17 * 2**l - 8n) /
-    (144 * 18**l) in (0, 9**-l / 16]: one integer over 144 * 18**l * n**2."""
+    """V_n - 3/16 = 1/(2n) + 1/(2n**2) + R(n), R(n) in (0, 9**-l / 16]: one
+    integer over 144 * 18**l * n**2."""
     return Fraction(*_excess_pair(n))
 
 

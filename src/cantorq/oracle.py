@@ -69,11 +69,12 @@ def _voronoi(n: int, pts: Sequence[ConstraintPoint]):
     r = [u * u + (u + e // n) ** 2 for u in a]
     cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
     ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
-    # (f, m1, m2) are over (2s*2**j, 12s*6**j, 144s*18**j)
-    den = lcm(*(144 * s * 18 ** j for *_, s, j in ends))
+    # (f, m1, m2) are over (d/(72*9**j), d/(12*3**j), d), d = 144s*18**j
+    dens = [144 * s * 18 ** j for *_, s, j in ends]
+    den = lcm(*dens)
     vs = []
-    for f, m1, m2, s, j in ends:
-        k = den // (144 * s * 18 ** j)
+    for (f, m1, m2, _, j), d in zip(ends, dens):
+        k = den // d
         vs.append((f * 72 * 9 ** j * k, m1 * 12 * 3 ** j * k, m2 * k))
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
@@ -119,8 +120,9 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     mean; the DP minimizes the exact total distortion over all groupings.
     Minimizing the distortion is equivalent to maximizing the sum of
     (group numerator sum)**2 / (group size) over the sorted centroid
-    numerators: the within-group second moments and the cross terms of the
-    constraint offset are the same for every partition.  That objective is
+    numerators: for p on S_n with foot u_p = 2x + 1/n, rho(t, p) =
+    (u_p - t)**2 / 2 + (t + 1/n)**2 / 2, whose second term is the same for
+    every codebook, so this is 1-D n-means on the feet.  That objective is
     a classic concave (Monge) interval cost, so each DP layer is filled by
     divide-and-conquer over the monotone argmax.
 

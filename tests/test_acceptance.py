@@ -11,7 +11,6 @@ import pytest
 from cantorq import (
     EmptyCellError,
     a_term,
-    a_term_closed,
     admissible_split_sets,
     build_alpha,
     cell_measures,
@@ -49,7 +48,7 @@ def test_criterion_01_one_point_optimum():
         alpha = build_alpha(1)
         p = alpha.points[0]
         assert (p.x, p.y) == (F(-1, 4), F(3, 4))
-        assert unconstrained_error(1) + a_term_closed(1) == F(5, 4)
+        assert quantization_error(1) == F(5, 4)
         assert exact_distortion(1, alpha) == F(5, 4)
 
 
@@ -57,7 +56,7 @@ def test_criterion_02_power_of_two_closed_form():
     with budget("2 V at powers of two", 1):
         for level in range(1, 13):
             n = 2 ** level
-            total = unconstrained_error(n) + a_term_closed(n)
+            total = quantization_error(n)
             assert total == power_of_two_error(level)
 
 
@@ -81,7 +80,7 @@ def test_criterion_05_dp_oracle_agreement():
     with budget("5 DP oracle agreement", 60):
         optima = dp_optimal_upto(64, 13)
         for n, (ps, value) in enumerate(optima, start=1):
-            assert value == unconstrained_error(n) + a_term_closed(n)
+            assert value == quantization_error(n)
             assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
 
 

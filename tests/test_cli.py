@@ -320,8 +320,8 @@ def test_every_argv_gives_one_record_or_one_error(argv):
         assert set(record) == {"command", "parameters", "results"}
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="ROADMAP item 5: the coefficient n**2 * excess "
+@pytest.mark.xfail(raises=OverflowError,
+                   reason="ROADMAP item 4: the coefficient n**2 * excess "
                           "overflows a float past level 1024")
 def test_asymptotics_past_level_1024():
     main(["asymptotics", "--kind", "dimension", "--max-level", "1025"])

@@ -5,7 +5,6 @@ import pytest
 
 from cantorq import (
     a_term,
-    a_term_closed,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
@@ -132,7 +131,7 @@ def test_a_term_power_of_two_shortcut(level):
 
 def test_distortion_report_examples():
     for n, v in ((1, F(5, 4)), (2, F(41, 72)), (3, F(67, 162))):
-        assert unconstrained_error(n) + a_term_closed(n) == v
+        assert quantization_error(n) == v
 
 
 @pytest.mark.parametrize("level", range(0, 13))
@@ -140,18 +139,18 @@ def test_power_of_two_closed_form(level):
     expected = F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
                            + F(1, 9 ** level) + 3)
     assert quantization_error(2 ** level) == expected
-    if level <= 10:
-        assert (unconstrained_error(2 ** level)
-                + a_term_closed(2 ** level)) == expected
+
+
+def _graf_luschgy(n):
+    """U_n = 18**-l * Var X * (2**(l+1) - n + (n - 2**l) / 9), the textbook
+    form of the unconstrained n-means error."""
+    l = level_of(n)
+    return F(1, 18 ** l) * F(1, 8) * (2 ** (l + 1) - n + F(n - 2 ** l, 9))
 
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_report_decomposition(n):
-    # a_term_closed(n) == a_term(n) is checked once, in
-    # test_fast_closed_form_matches_enumeration
-    l = level_of(n)
-    assert unconstrained_error(n) == (
-        F(1, 18 ** l) * F(1, 8) * (2 ** (l + 1) - n + F(n - 2 ** l, 9)))
+    assert unconstrained_error(n) == _graf_luschgy(n)
 
 
 def test_unconstrained_optimum_examples():
@@ -175,7 +174,7 @@ def test_split_set_independence(n):
 def test_error_sequence_monotone_and_bounded():
     prev = None
     for n in range(1, 65):
-        v = unconstrained_error(n) + a_term_closed(n)
+        v = quantization_error(n)
         assert v > F(3, 16)
         if prev is not None:
             assert v < prev
@@ -184,8 +183,8 @@ def test_error_sequence_monotone_and_bounded():
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_fast_closed_form_matches_enumeration(n):
-    assert a_term_closed(n) == a_term(n)
-    assert quantization_error(n) == unconstrained_error(n) + a_term_closed(n)
+    # the closed A-term V_n - U_n against the word-by-word sum
+    assert quantization_error(n) - unconstrained_error(n) == a_term(n)
 
 
 # every n through 2**12, then both ends of each level up to l = 1100
@@ -198,16 +197,19 @@ EXPANSION_NS = {
 
 def _remainder(n):
     """R(n) = U(n) - 9**-l / 16 + (n - 2**l) / (2**(l+1) 9**(l+1)), built
-    from the unconstrained error rather than the integer form."""
+    from the textbook U(n) rather than the integer form."""
     l = level_of(n)
-    return (unconstrained_error(n) - F(1, 16 * 9 ** l)
+    return (_graf_luschgy(n) - F(1, 16 * 9 ** l)
             + F(n - 2 ** l, 2 ** (l + 1) * 9 ** (l + 1)))
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
 def test_integer_form_matches_decomposition(ns):
+    # R(n) = U(n) / 2, the foot identity; test_excess_expansion puts R(n) in V_n
     for n in ns:
-        assert quantization_error(n) == unconstrained_error(n) + a_term_closed(n)
+        u = unconstrained_error(n)
+        assert u == _graf_luschgy(n)
+        assert 2 * _remainder(n) == u
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)

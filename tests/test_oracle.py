@@ -11,7 +11,6 @@ from cantorq import (
     VARIANCE,
     ConstraintPoint,
     EmptyCellError,
-    a_term_closed,
     build_alpha,
     cell_measures,
     centroid_numerators,
@@ -21,9 +20,9 @@ from cantorq import (
     level_of,
     lloyd_step,
     partial_moments,
+    quantization_error,
     rho,
     u_inverse,
-    unconstrained_error,
 )
 
 F = Fraction
@@ -40,8 +39,7 @@ def test_exact_distortion_matches_closed_form_small():
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_exact_distortion_agrees_with_closed_form(n):
-    assert exact_distortion(n, build_alpha(n)) == (
-        unconstrained_error(n) + a_term_closed(n))
+    assert exact_distortion(n, build_alpha(n)) == quantization_error(n)
 
 
 def test_exact_distortion_collapses_duplicates():
@@ -83,7 +81,7 @@ def test_lloyd_descent_through_boundary_in_cantor_set():
         after = exact_distortion(16, current)
         assert after <= before
         before = after
-    assert after >= unconstrained_error(16) + a_term_closed(16)
+    assert after >= quantization_error(16)
 
 
 def _per_cut(n, feet):
@@ -199,7 +197,7 @@ def _random_start(rng, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lloyd_descent_from_random_starts(n):
     rng = random.Random(20240 + n)
-    optimum = unconstrained_error(n) + a_term_closed(n)
+    optimum = quantization_error(n)
     for _ in range(25):
         pts = _random_start(rng, n)
         try:
@@ -230,7 +228,7 @@ def test_dp_rejects_too_many_points():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal_upto(n, 8)[-1]
-    assert v == unconstrained_error(n) + a_term_closed(n)
+    assert v == quantization_error(n)
     assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
     assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
 
