@@ -6,8 +6,9 @@ to the limiting constraint line y = x.  By the foot identity of
 n * excess tends to 1/2: the dimension estimate 2 log n / (-log excess)
 tends to 2 while the coefficient n**2 * excess grows without bound.
 
-The only module allowed to produce floats: every excess is computed as an
-exact rational first and only its logarithm is floating point.
+Not one of the four exact modules (measure, constraint, oracle, closedform):
+every excess is an exact rational first and only its logarithm is a float.
+`cli` renders floats too, such as the `v_float` column of `error-table`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ one exact integer pass: generic 2-D bisector cuts over a common denominator
 go unreduced to the kernel `measure.moment_numerators`, and each cell's mass
 and first two moments are integer differences at its boundaries.  The Lloyd
 step recenters every point at the pullback of its cell's conditional mean.
+One slot keyed by (n, prepared points) keeps the last codebook's integer pass.
 The DP searches globally over all placements whose cell boundaries fall on
 level-k interval edges.
 """
@@ -16,7 +17,6 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Sequence
 
 from .constraint import ConstraintPoint, PointSet, foot_point
 from .measure import VARIANCE, centroid_numerators, moment_numerators
@@ -53,7 +53,12 @@ def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
     return tuple(out)
 
 
-def _voronoi(n: int, pts: Sequence[ConstraintPoint]):
+# (n, pts, pass) of the most recent _voronoi call, read and replaced whole, so
+# that no caller pairs one codebook's key with another's pass
+_last: tuple = (0, (), None)
+
+
+def _voronoi(n: int, pts: tuple[ConstraintPoint, ...]):
     """Integer Voronoi cells of sorted points on S_n: (e, a, r, cells, den).
 
     Point i is (a_i, c_i)/e over e = lcm(n, abscissa denominators), a common
@@ -62,8 +67,14 @@ def _voronoi(n: int, pts: Sequence[ConstraintPoint]):
     (a, c)/e and (b, d)/e, a < b, is the generic 2-D bisector crossing of the
     real line (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every
     kernel value is brought to one denominator den, so each cell's
-    (mass, M1, M2) are integer differences.
+    (mass, M1, M2) are integer differences.  A call whose n and points equal
+    the last call's (by identity, else tuple equality; nothing is hashed)
+    returns the last pass.
     """
+    global _last
+    last_n, last_pts, last = _last
+    if n == last_n and (pts is last_pts or pts == last_pts):
+        return last
     e = lcm(n, *(p.x.denominator for p in pts))
     a = [p.x.numerator * (e // p.x.denominator) for p in pts]
     r = [u * u + (u + e // n) ** 2 for u in a]
@@ -78,7 +89,9 @@ def _voronoi(n: int, pts: Sequence[ConstraintPoint]):
         vs.append((f * 72 * 9 ** j * k, m1 * 12 * 3 ** j * k, m2 * k))
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
-    return e, a, r, cells, den
+    result = e, a, r, cells, den
+    _last = n, pts, result
+    return result
 
 
 def exact_distortion(n: int, points) -> Fraction:

@@ -11,6 +11,7 @@ from cantorq import (
     VARIANCE,
     ConstraintPoint,
     EmptyCellError,
+    PointSet,
     build_alpha,
     cell_measures,
     centroid_numerators,
@@ -19,6 +20,7 @@ from cantorq import (
     feasible_window,
     level_of,
     lloyd_step,
+    oracle,
     partial_moments,
     quantization_error,
     rho,
@@ -149,6 +151,32 @@ def test_integer_pass_matches_per_cut_path_on_former_faults():
     for _ in range(4):
         _assert_matches_per_cut(16, feet)
         feet = lloyd_step(16, [u_inverse(16, t) for t in feet]).feet()
+
+
+def test_one_pass_per_codebook(monkeypatch):
+    # an n-point codebook takes n + 1 kernel values (its n - 1 cuts and the
+    # two ends); the three calls on it share them
+    n, kernel, calls = 16, oracle.moment_numerators, []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return kernel(p, q)
+
+    exact_distortion(1, build_alpha(1))  # another codebook holds the slot
+    monkeypatch.setattr(oracle, "moment_numerators", counted)
+    ps = PointSet(n, tuple(u_inverse(n, t) for t in N16_FEET))
+    exact_distortion(n, ps)
+    cell_measures(n, ps)
+    lloyd_step(n, ps)
+    assert len(calls) == n + 1
+    # codebooks A, B, A, where B moves one foot: A is still in the slot, and
+    # each switch after it is a new pass
+    moved = list(N16_FEET)
+    moved[5] = F(3035, 2 * 3 ** 8)
+    del calls[:]
+    for feet in (N16_FEET, moved, N16_FEET):
+        _assert_matches_per_cut(n, feet)
+    assert len(calls) == 2 * (n + 1)
 
 
 def test_empty_cell_error():
