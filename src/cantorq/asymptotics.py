@@ -39,7 +39,9 @@ def sample_at(n: int) -> AsymptoticSample:
     if n < 2:
         raise ValueError("n must be >= 2")
     excess = closedform.excess(n)
-    v = excess + closedform.V_INFINITY  # gcds against 16 only
+    # no gcd sees two ~5l-bit integers: excess reduces R(n)'s l-bit
+    # numerator, then adds (n+1)/(2n**2); + 3/16 takes gcds against 16
+    v = excess + closedform.V_INFINITY
     dim = 2 * math.log(n) / -_log(excess)
     # correctly rounded int / int, so float(n * n * excess) without its gcds
     coeff = n * n * excess.numerator / excess.denominator

@@ -130,7 +130,7 @@ def cmd_error_table(args) -> int:
     for n in range(1, args.max_n + 1):
         v = quantization_error(n)
         rows.append([n, fmt_rational(v), fmt_float(float(v)),
-                     fmt_rational(closedform.excess(n))])
+                     fmt_rational(v - closedform.V_INFINITY)])
     _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
     return 0
 

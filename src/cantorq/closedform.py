@@ -126,18 +126,15 @@ def unconstrained_error(n: int) -> Fraction:
     return Fraction(2 * num, den)
 
 
-def _excess_pair(n: int) -> tuple[int, int]:
-    num, den = _residual(n)
-    return den // 2 * (n + 1) + num * n * n, den * n * n
-
-
 def excess(n: int) -> Fraction:
-    """V_n - 3/16 = 1/(2n) + 1/(2n**2) + R(n), R(n) in (0, 9**-l / 16]: one
-    integer over 144 * 18**l * n**2."""
-    return Fraction(*_excess_pair(n))
+    """V_n - 3/16 = R(n) + (n+1)/(2n**2), R(n) in (0, 9**-l / 16], as the sum
+    of two Fractions: no gcd sees the full 144 * 18**l * n**2 denominator."""
+    return Fraction(*_residual(n)) + Fraction(n + 1, 2 * n * n)
 
 
 def quantization_error(n: int) -> Fraction:
-    """Exact V_n = 3/16 + excess(n) as one integer pair, reduced once."""
-    num, den = _excess_pair(n)
-    return Fraction(num + 3 * den // 16, den)
+    """Exact V_n = 3/16 + (n+1)/(2n**2) + R(n) as one integer pair over
+    144 * 18**l * n**2, reduced once."""
+    num, den = _residual(n)
+    nn = n * n
+    return Fraction((3 * den // 16 + num) * nn + den // 2 * (n + 1), den * nn)

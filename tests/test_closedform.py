@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -187,11 +188,31 @@ def test_fast_closed_form_matches_enumeration(n):
     assert quantization_error(n) - unconstrained_error(n) == a_term(n)
 
 
-# every n through 2**12, then both ends of each level up to l = 1100
+def _off_dyadic_ns():
+    """Seeded n up to level 1100 off the three dyadic points per level:
+    one random and one random odd n per level, every 3**k, every 5 * 2**j,
+    and at l = 3j an n = 2**j * odd, where both summands of excess have
+    2**(2j+1) in their denominators and the sum cancels a power of 2.
+    Together they take every branch of Fraction's addition."""
+    rng = random.Random(20240101)
+    ns = {3 ** k for k in range(1, 1100) if 3 ** k < 2 ** 1101}
+    ns |= {5 * 2 ** j for j in range(1099)}
+    for l in range(1, 1101):
+        ns.add(rng.randrange(2 ** l, 2 ** (l + 1)))
+        ns.add(rng.randrange(2 ** l, 2 ** (l + 1)) | 1)
+        if l % 3 == 0:
+            j = l // 3
+            ns.add((rng.randrange(2 ** l, 2 ** (l + 1)) >> j | 1) << j)
+    return sorted(ns)
+
+
+# every n through 2**12, both ends of each level up to l = 1100, and
+# seeded n in between: excess and quantization_error check each other
 EXPANSION_NS = {
     "small": range(1, 2 ** 12 + 1),
     "dyadic": sorted({m for l in range(1101)
                       for m in (2 ** l, 2 ** l + 1, 2 ** (l + 1) - 1)}),
+    "off_dyadic": _off_dyadic_ns(),
 }
 
 
