@@ -68,9 +68,7 @@ def _parse_split_selector(selector: str, n: int):
             raise ValueError(f"invalid word {token!r}")
         if token:
             ws.append(tuple(int(c) for c in token))
-    if len(set(ws)) != len(ws):
-        raise ValueError(f"repeated word in {selector!r}")
-    return [frozenset(ws)]
+    return [ws]
 
 
 def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:

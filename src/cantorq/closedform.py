@@ -58,15 +58,18 @@ def _checked_split_set(n: int, split_set) -> frozenset[Word]:
     if split_set is None:
         return canonical_split_set(n)
     l = level_of(n)
-    split_set = frozenset(tuple(w) for w in split_set)
-    for w in split_set:
+    checked: set[Word] = set()
+    for w in map(tuple, split_set):
         if len(w) != l or any(c not in (1, 2) for c in w):
             raise ValueError(f"{w} is not a word of length {l} over {{1,2}}")
-    if len(split_set) != n - 2 ** l:
+        if w in checked:
+            raise ValueError(f"repeated word {''.join(map(str, w))}")
+        checked.add(w)
+    if len(checked) != n - 2 ** l:
         raise ValueError(
             f"split set must have {n - 2 ** l} words for n={n}, "
-            f"got {len(split_set)}")
-    return split_set
+            f"got {len(checked)}")
+    return frozenset(checked)
 
 
 def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:

@@ -79,27 +79,26 @@ def centroid_numerators(k: int) -> list[int]:
 
 
 def _unwind(digits: list[bool], f: int, m1: int, m2: int,
-            s: int) -> tuple[int, int, int]:
+            d: int) -> tuple[int, int, int, int]:
     """Apply the maps of an orbit's digits (True for t2), last digit first,
-    to the numerators (f, m1, m2) of v over (2s, 12s, 144s).
+    to v = (f, m1, m2)/d; the image is (f, m1, m2, d) again.
 
-    After j maps the numerators are over (2s*2**j, 12s*6**j, 144s*18**j),
-    so t1 leaves them unchanged and t2 adds integer terms.  With s = 0 only
-    the linear part of the maps is applied.
+    t1 sends v to (9f, 3m1, m2)/(18d) and t2 to (9(f + d), 6f + 3m1 + 3d/2,
+    4(f + m1) + m2 + 3d/8)/(18d): each step scales by small integers.  With
+    d = 0 only the linear part of the maps is applied.
     """
-    p2, p3 = 2 * s, 1  # s * 2**(j+1), 3**j
+    # 8 | d keeps d/2 and 3d/8 integral, and 18d keeps 8 | d
     for right in reversed(digits):
         if right:
-            t = 12 * p3
-            f, m1, m2 = (f + p2, m1 + t * f + 3 * p2 * p3,
-                         m2 + t * (24 * p3 * f + 4 * m1) + 27 * p2 * p3 * p3)
-        p2, p3 = 2 * p2, 3 * p3
-    return f, m1, m2
+            f, m1, m2 = (f + d, m1 + 2 * f + d // 2,
+                         m2 + 4 * (f + m1) + 3 * d // 8)
+        f, m1, d = 9 * f, 3 * m1, 18 * d
+    return f, m1, m2, d
 
 
-def moment_numerators(p: int, q: int) -> tuple[int, int, int, int, int]:
+def moment_numerators(p: int, q: int) -> tuple[int, int, int, int]:
     """v(x) = (mu[0, x], int_0^x t dmu, int_0^x t**2 dmu) at x = p/q, q > 0, as
-    numerators (f, m1, m2) over (2s*2**j, 12s*6**j, 144s*18**j), then s, j.
+    numerators over one denominator: (f, m1, m2, d).
 
     Self-similarity gives v(x/3) = (F/2, M1/6, M2/18) and
     v(x/3 + 2/3) = (1/2 + F/2, F/3 + M1/6 + 1/12, 2F/9 + 2M1/9 + M2/18 + 1/48)
@@ -113,10 +112,9 @@ def moment_numerators(p: int, q: int) -> tuple[int, int, int, int, int]:
     Math. Nachr. 183 (1997).
     """
     if p <= 0:
-        return 0, 0, 0, 1, 0
+        return 0, 0, 0, 1
     if p >= q:
-        # (1, 1/2, 3/8) over (2, 12, 144)
-        return 2, 6, 54, 1, 0
+        return 8, 4, 3, 8  # (1, 1/2, 3/8)
     digits: list[bool] = []
     seen: dict[int, int] = {}
     while not q <= 3 * p <= 2 * q and p not in seen:
@@ -127,24 +125,21 @@ def moment_numerators(p: int, q: int) -> tuple[int, int, int, int, int]:
             p -= 2 * q
     if p in seen:
         cycle, digits = digits[seen[p]:], digits[:seen[p]]
-        # numerators of the cycle's map U(v) = K + A v, A unit lower triangular
-        k0, k1, k2 = _unwind(cycle, 0, 0, 0, 1)
-        _, a10, a20 = _unwind(cycle, 1, 0, 0, 0)
-        a21 = _unwind(cycle, 0, 1, 0, 0)[2]
-        # the fixed point over (2s, 12s, 144s) solves (D - A) v = s K with
-        # D = diag(2**L, 6**L, 18**L), L = len(cycle); this s makes it integral
-        length = len(cycle)
-        d0, d1, d2 = 2 ** length - 1, 6 ** length - 1, 18 ** length - 1
-        s, g = d0 * d1 * d2, d0 * k1 + a10 * k0
-        f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + a20 * k0) + a21 * g
+        # the cycle maps (f, m1, m2)/d to (N (f, m1, m2) + d K/8)/(18**L d),
+        # L = len(cycle), N lower triangular; the fixed point solves
+        # (18**L - N)(f, m1, m2) = d K/8, and this d makes it integral
+        k0, k1, k2, top = _unwind(cycle, 0, 0, 0, 8)  # top = 8 * 18**L
+        n00, n10, n20, _ = _unwind(cycle, 1, 0, 0, 0)
+        _, n11, n21, _ = _unwind(cycle, 0, 1, 0, 0)
+        d0, d1, d2 = top // 8 - n00, top // 8 - n11, top // 8 - 1
+        d, g = 8 * d0 * d1 * d2, d0 * k1 + n10 * k0
+        f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + n20 * k0) + n21 * g
     else:
-        # (1/2, 1/12, 1/48) over (2, 12, 144)
-        f, m1, m2, s = 1, 1, 3, 1
-    return (*_unwind(digits, f, m1, m2, s), s, len(digits))
+        f, m1, m2, d = 72, 12, 3, 144  # (1/2, 1/12, 1/48)
+    return _unwind(digits, f, m1, m2, d)
 
 
 def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Exact v(x) for rational x, from `moment_numerators`."""
-    f, m1, m2, s, j = moment_numerators(x.numerator, x.denominator)
-    return (Fraction(f, 2 * s * 2 ** j), Fraction(m1, 12 * s * 6 ** j),
-            Fraction(m2, 144 * s * 18 ** j))
+    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
+    return Fraction(f, d), Fraction(m1, d), Fraction(m2, d)

@@ -80,13 +80,8 @@ def _voronoi(n: int, pts: tuple[ConstraintPoint, ...]):
     r = [u * u + (u + e // n) ** 2 for u in a]
     cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
     ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
-    # (f, m1, m2) are over (d/(72*9**j), d/(12*3**j), d), d = 144s*18**j
-    dens = [144 * s * 18 ** j for *_, s, j in ends]
-    den = lcm(*dens)
-    vs = []
-    for (f, m1, m2, _, j), d in zip(ends, dens):
-        k = den // d
-        vs.append((f * 72 * 9 ** j * k, m1 * 12 * 3 ** j * k, m2 * k))
+    den = lcm(*(d for *_, d in ends))
+    vs = [(f * (k := den // d), m1 * k, m2 * k) for f, m1, m2, d in ends]
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
     result = e, a, r, cells, den
@@ -156,6 +151,8 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     """
     if max_n < 1:
         raise ValueError("n must be >= 1")
+    if level < 1:
+        raise ValueError("level must be >= 1")
     m = 2 ** level
     if max_n > m:
         raise ValueError(f"n={max_n} exceeds the {m} level-{level} intervals")

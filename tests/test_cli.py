@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,7 +64,11 @@ def test_optimal_set_invalid_split_set_is_usage_error(capsys):
     assert main(["optimal-set", "--n", "3", "--split-set", "11,12"]) == 2
     assert main(["optimal-set", "--n", "3", "--split-set", "bogus"]) == 2
     # a repeated word is refused, not merged into one
+    capsys.readouterr()
     assert main(["optimal-set", "--n", "5", "--split-set", "11,11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated word 11\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,6 +174,21 @@ def test_rationals_are_always_p_over_q(capsys):
 def test_nonpositive_arguments_are_usage_errors(capsys):
     assert main(["error-table", "--max-n", "0"]) == 2
     assert main(["asymptotics", "--kind", "dimension", "--max-level", "0"]) == 2
+
+
+def _readme_cli_examples() -> list[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("cantorq ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = _readme_cli_examples()
+    assert examples
+    for line in examples:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
 
 
 def test_unknown_subcommand_exits_2():

@@ -81,6 +81,16 @@ def test_build_alpha_rejects_bad_split_sets():
         build_alpha(2, {(3,)})         # bad letter
 
 
+@pytest.mark.parametrize("build, n, split_set, word", [
+    (build_alpha, 3, [(1,), (1,)], "1"),
+    (a_term, 5, [(1, 1), (1, 1)], "11"),
+])
+def test_repeated_split_word_is_refused(build, n, split_set, word):
+    # merged into one, the repeated word would meet the n - 2**l count
+    with pytest.raises(ValueError, match=f"^repeated word {word}$"):
+        build(n, split_set)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_build_alpha_matches_word_by_word_construction(n):
     # the pullbacks of the unsplit centroids and the split words' children,

@@ -159,7 +159,24 @@ def test_partial_moments_hand_values():
     assert partial_moments(F(3, 4)) == (F(2, 3), F(1, 5), F(39, 380))
 
 
-@pytest.mark.parametrize("x", [F(1, 4), F(1, 10), F(570247, 590490)])
+def _periodic(cycle: str) -> F:
+    """The point whose ternary digits repeat `cycle` from the first one."""
+    return F(int(cycle, 3), 3 ** len(cycle) - 1)
+
+
+# one minimal cycle in the Cantor set per length L = 2..12; t2 in front of a
+# cycle ending in 0 gives a point with a one-digit preperiod
+CYCLE_POINTS = [
+    apply_map((2,), _periodic("20")), _periodic("002"), _periodic("2000"),
+    apply_map((2,), _periodic("22020")), _periodic("022000"),
+    _periodic("2020002"), apply_map((2,), _periodic("02200000")),
+    _periodic("222000220"), _periodic("0220022200"),
+    apply_map((2,), _periodic("22200200220")), _periodic("222020222200"),
+]
+
+
+@pytest.mark.parametrize("x", [F(1, 4), F(1, 10), F(570247, 590490),
+                               *CYCLE_POINTS])
 def test_partial_moments_bracketed_in_cantor_set(x):
     # x has a periodic ternary expansion with no digit 1, so the kernel
     # solves a cycle; the ends of each level-k interval around x border the
@@ -186,7 +203,7 @@ def test_partial_moments_clamps():
 
 
 # cycles inside the Cantor set, gap midpoints T_w(1/2), and both clamps
-KERNEL_POINTS = [F(1, 4), F(3, 4), F(1, 10), F(570247, 590490),
+KERNEL_POINTS = [F(1, 4), F(3, 4), F(1, 10), F(570247, 590490), *CYCLE_POINTS,
                  *(centroid(w) for k in range(4) for w in words(k)),
                  F(-3, 7), F(0), F(1), F(5, 3)]
 
@@ -194,9 +211,8 @@ KERNEL_POINTS = [F(1, 4), F(3, 4), F(1, 10), F(570247, 590490),
 def _assert_scale_invariant(x):
     v = partial_moments(x)
     for g in range(1, 51):
-        f, m1, m2, s, j = moment_numerators(g * x.numerator, g * x.denominator)
-        assert (F(f, 2 * s * 2 ** j), F(m1, 12 * s * 6 ** j),
-                F(m2, 144 * s * 18 ** j)) == v
+        f, m1, m2, d = moment_numerators(g * x.numerator, g * x.denominator)
+        assert (F(f, d), F(m1, d), F(m2, d)) == v
 
 
 @pytest.mark.parametrize("x", KERNEL_POINTS)

@@ -253,6 +253,13 @@ def test_dp_rejects_too_many_points():
         dp_optimal_upto(5, 2)[-1]
 
 
+@pytest.mark.parametrize("max_n, level", [(1, -1), (1, 0), (2, 0)])
+def test_dp_rejects_levels_below_one(max_n, level):
+    # refused before 2**level, which is a float for a negative level
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        dp_optimal_upto(max_n, level)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal_upto(n, 8)[-1]
