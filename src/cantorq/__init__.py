@@ -28,7 +28,6 @@ from .constraint import (
     feasible_window,
     foot_point,
     rho,
-    u_forward,
     u_inverse,
 )
 from .measure import (
@@ -38,7 +37,6 @@ from .measure import (
     apply_map,
     centroid,
     centroid_numerators,
-    partial_moments,
     words,
 )
 from .oracle import (

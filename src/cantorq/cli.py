@@ -3,17 +3,19 @@
 Every command writes one machine-readable record to stdout, as JSON
 (default) or CSV.  Rationals are always serialized as canonical "p/q";
 floats are rendered at 12 significant digits.  No record holds more
-than MAX_RECORD_ROWS rows.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+than MAX_RECORD_ROWS rows.  Both formats are written row by row, after
+every step that can fail; a JSON record has the bytes of
+json.dumps(record, sort_keys=True, indent=2).  Exit codes: 0 success,
+1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import asymptotics, closedform, oracle
 from .closedform import (
@@ -71,22 +73,65 @@ def _parse_split_selector(selector: str, n: int):
     return [ws]
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for the str, int, bool,
+    list and dict values of a record, where `indent` is the newline and the
+    indentation of the value's first line.  Any other type raises TypeError,
+    so that no value is written other than json.dumps would write it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        parts, ends = [_json(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        parts, ends = [encode_basestring_ascii(k) + ": " + _json(value[k], inner)
+                       for k in sorted(value)], "{}"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+    if not parts:
+        return ends
+    return ends[0] + inner + ("," + inner).join(parts) + indent + ends[1]
+
+
 def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
     """Writes the record of one command, whose parameters are its flags.
 
     CSV is a comment line with the parameters, the header and the rows;
     JSON puts each row, keyed by the header, in the list results[key].
+    Either is written to stdout one row at a time.
     """
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "func")}
+    write = sys.stdout.write
     if args.format == "json":
-        results[key] = [dict(zip(header, row)) for row in rows]
-        record = {"command": args.command, "parameters": params,
-                  "results": results}
-        print(json.dumps(record, sort_keys=True, indent=2))
+        # rows are dicts at depth 3 of the record, their fields at depth 4
+        field = "\n" + 8 * " "
+        prefixes = [(i, field + encode_basestring_ascii(header[i]) + ": ")
+                    for i in sorted(range(len(header)), key=header.__getitem__)]
+        write('{\n  "command": ' + _json(args.command) + ',\n  "parameters": '
+              + _json(params, "\n  ") + ',\n  "results": {')
+        sep = "\n    "
+        for name in sorted([*results, key]):
+            write(sep + encode_basestring_ascii(name) + ": ")
+            sep = ",\n    "
+            if name != key:
+                write(_json(results[name], "\n    "))
+                continue
+            lead = "["
+            for row in rows:
+                write(lead + "\n      {" + ",".join(
+                    p + _json(row[i], field) for i, p in prefixes) + "\n      }")
+                lead = ","
+            write("[]" if lead == "[" else "\n    ]")
+        write("\n  }\n}\n")
         return
     text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    sys.stdout.write(f"# command={args.command} {text}\r\n")
+    write(f"# command={args.command} {text}\r\n")
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)

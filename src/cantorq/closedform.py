@@ -60,10 +60,11 @@ def _checked_split_set(n: int, split_set) -> frozenset[Word]:
     l = level_of(n)
     checked: set[Word] = set()
     for w in map(tuple, split_set):
+        letters = "".join(map(str, w))
         if len(w) != l or any(c not in (1, 2) for c in w):
-            raise ValueError(f"{w} is not a word of length {l} over {{1,2}}")
+            raise ValueError(f"{letters} is not a word of length {l} over {{1,2}}")
         if w in checked:
-            raise ValueError(f"repeated word {''.join(map(str, w))}")
+            raise ValueError(f"repeated word {letters}")
         checked.add(w)
     if len(checked) != n - 2 ** l:
         raise ValueError(

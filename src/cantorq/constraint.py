@@ -45,11 +45,6 @@ def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
     return (x - p.x) ** 2 + p.y ** 2
 
 
-def u_forward(p: ConstraintPoint) -> Fraction:
-    """Foot on the real line of the perpendicular to S_j at p: 2x + 1/j."""
-    return 2 * p.x + Fraction(1, p.j)
-
-
 def foot_point(j: int, num: int, den: int) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is num/den, den > 0, built with
     one Fraction: x = (num*j - den) / (2*den*j); rejects feet outside the image."""
@@ -99,7 +94,3 @@ class PointSet:
 
     def abscissas(self) -> tuple[Fraction, ...]:
         return tuple(p.x for p in self.points)
-
-    def feet(self) -> tuple[Fraction, ...]:
-        """Perpendicular feet of the points on the real line."""
-        return tuple(u_forward(p) for p in self.points)

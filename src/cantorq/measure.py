@@ -137,9 +137,3 @@ def moment_numerators(p: int, q: int) -> tuple[int, int, int, int]:
     else:
         f, m1, m2, d = 72, 12, 3, 144  # (1/2, 1/12, 1/48)
     return _unwind(digits, f, m1, m2, d)
-
-
-def partial_moments(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact v(x) for rational x, from `moment_numerators`."""
-    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
-    return Fraction(f, d), Fraction(m1, d), Fraction(m2, d)

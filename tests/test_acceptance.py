@@ -19,11 +19,11 @@ from cantorq import (
     dp_optimal_upto,
     exact_distortion,
     lloyd_step,
-    partial_moments,
     quantization_error,
     u_inverse,
     unconstrained_error,
 )
+from cantorq.measure import moment_numerators
 
 F = Fraction
 
@@ -148,10 +148,12 @@ def test_criterion_10_voronoi_preservation():
         for n in range(1, 17):
             alpha = build_alpha(n)
             constrained = cell_measures(n, alpha)
-            means = alpha.feet()
+            means = [2 * x + F(1, n) for x in alpha.abscissas()]  # the feet
             cuts = [(means[i] + means[i + 1]) / 2
                     for i in range(len(means) - 1)]
-            ends = [partial_moments(c)[0] for c in (F(0), *cuts, F(1))]
+            ends = [F(f, d) for f, _, _, d in (
+                moment_numerators(c.numerator, c.denominator)
+                for c in (F(0), *cuts, F(1)))]
             assert constrained == [b - a for a, b in zip(ends, ends[1:])]
 
 

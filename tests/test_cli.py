@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorq.cli import main
+from cantorq import cli
+from cantorq.cli import _emit, _json, main
 
 
 def run(capsys, *argv):
@@ -69,6 +71,15 @@ def test_optimal_set_invalid_split_set_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: repeated word 11\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("optimal-set --n 3 --split-set 11", "11 is not a word of length 1 over {1,2}"),
+    ("optimal-set --n 5 --split-set 11,11", "repeated word 11"),
+])
+def test_bad_split_word_is_named_by_its_letters(capsys, argv, err):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,3 +357,77 @@ def test_every_argv_gives_one_record_or_one_error(argv):
                           "overflows a float past level 1024")
 def test_asymptotics_past_level_1024():
     main(["asymptotics", "--kind", "dimension", "--max-level", "1025"])
+
+
+# text draws quotes, backslashes, control characters, non-ASCII characters
+# and lone surrogates often, alone and among any other code points
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+    st.characters(exclude_categories=())))
+json_values = st.recursive(
+    st.one_of(json_text, st.booleans(), st.integers(),
+              st.sampled_from((-(10 ** 400), 2 ** 4000))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_json_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [1, {"a": 0.0}], None, (1,)])
+def test_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+def _args(fmt="json"):
+    return argparse.Namespace(command="error-table", func=None, format=fmt,
+                              max_n=3)
+
+
+def test_emit_record_with_zero_rows(capsys):
+    _emit(_args(), ["n", "v_exact"], iter(()), all_pass=True)
+    record = {"command": "error-table",
+              "parameters": {"format": "json", "max_n": 3},
+              "results": {"all_pass": True, "rows": []}}
+    assert capsys.readouterr().out == json.dumps(
+        record, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_writes_each_row_before_pulling_the_next(capsys):
+    header, seen = ["n", "name", "flags"], []
+
+    def rows():
+        for k in range(4):
+            seen.append(capsys.readouterr().out)  # what stdout held at pull k
+            yield [k, f"row-{k}", [k % 2 == 0, {"k": k}]]
+
+    _emit(_args(), header, rows(), "checks", all_pass=False)
+    out = "".join(seen) + capsys.readouterr().out
+    for k in range(1, 4):
+        written = "".join(seen[:k + 1])
+        assert f'"row-{k - 1}"' in written and f'"row-{k}"' not in written
+    record = {"command": "error-table",
+              "parameters": {"format": "json", "max_n": 3},
+              "results": {"all_pass": False, "checks": [
+                  dict(zip(header, [k, f"row-{k}", [k % 2 == 0, {"k": k}]]))
+                  for k in range(4)]}}
+    assert out == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
+    error = cli.quantization_error
+
+    def failing(n):
+        if n == 5:
+            raise RuntimeError("at max-n")
+        return error(n)
+
+    monkeypatch.setattr(cli, "quantization_error", failing)
+    with pytest.raises(RuntimeError, match="at max-n"):
+        main(["error-table", "--max-n", "5", "--format", fmt])
+    assert capsys.readouterr().out == ""

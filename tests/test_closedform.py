@@ -15,7 +15,6 @@ from cantorq import (
     feasible_window,
     level_of,
     quantization_error,
-    u_forward,
     u_inverse,
     unconstrained_error,
     words,
@@ -75,9 +74,9 @@ def test_build_alpha_one_point():
 def test_build_alpha_rejects_bad_split_sets():
     with pytest.raises(ValueError):
         build_alpha(3, set())          # wrong cardinality
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^11 is not a word of length 1 over \{1,2\}$"):
         build_alpha(3, {(1, 1)})       # wrong word length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3 is not a word of length 1 over \{1,2\}$"):
         build_alpha(2, {(3,)})         # bad letter
 
 
@@ -109,8 +108,7 @@ def test_build_alpha_feet_are_centroids(n):
     # independent check: each foot must be a centroid of level l or l+1
     l = level_of(n)
     valid = {centroid(w) for w in words(l)} | {centroid(w) for w in words(l + 1)}
-    for p in build_alpha(n).points:
-        assert u_forward(p) in valid
+    assert set(build_alpha(n).points) <= {u_inverse(n, t) for t in valid}
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -166,11 +164,11 @@ def test_report_decomposition(n):
 
 def test_unconstrained_optimum_examples():
     # the feet of the codebook are the unconstrained optimal n-means
-    assert build_alpha(2).feet() == (F(1, 6), F(5, 6))
-    assert unconstrained_error(2) == F(1, 72)
-    assert build_alpha(1).feet() == (F(1, 2),)
+    for n, feet in ((1, [F(1, 2)]), (2, [F(1, 6), F(5, 6)]),
+                    (4, [F(1, 18), F(5, 18), F(13, 18), F(17, 18)])):
+        assert build_alpha(n).points == tuple(u_inverse(n, t) for t in feet)
     assert unconstrained_error(1) == F(1, 8)
-    assert build_alpha(4).feet() == (F(1, 18), F(5, 18), F(13, 18), F(17, 18))
+    assert unconstrained_error(2) == F(1, 72)
     assert unconstrained_error(4) == F(1, 648)
 
 

@@ -9,11 +9,11 @@ from cantorq import (
     PointSet,
     cell_measures,
     feasible_window,
-    partial_moments,
+    foot_point,
     rho,
-    u_forward,
     u_inverse,
 )
+from cantorq.measure import moment_numerators
 
 F = Fraction
 
@@ -67,17 +67,13 @@ def test_rho_examples():
     assert rho(F(1, 6), ConstraintPoint(2, F(-1, 6))) == F(2, 9)
 
 
-def test_u_forward_examples():
-    assert u_forward(ConstraintPoint(1, F(-1, 4))) == F(1, 2)
-    assert u_forward(ConstraintPoint(2, F(-1, 6))) == F(1, 6)
-    for n in (1, 2, 5, 17):
-        assert u_forward(ConstraintPoint(n, F(-1, 2 * n))) == 0
-
-
 def test_u_inverse_examples():
     assert u_inverse(1, F(1, 2)).x == F(-1, 4)
     assert u_inverse(2, F(1, 6)).x == F(-1, 6)
     assert u_inverse(3, F(13, 18)).x == F(7, 36)
+    # the left end of each feasible window has the foot 0
+    for n in (1, 2, 5, 17):
+        assert u_inverse(n, F(0)) == ConstraintPoint(n, F(-1, 2 * n))
 
 
 def test_u_inverse_rejects_outside_image():
@@ -96,16 +92,17 @@ def test_feasible_window_examples():
 @pytest.mark.parametrize("j", [1, 2, 3, 8, 33, 64])
 def test_round_trip_over_unit_interval(j):
     for i in range(50):
-        t = F(i, 49)
-        assert u_forward(u_inverse(j, t)) == t
+        p = u_inverse(j, F(i, 49))
+        assert 2 * p.x + F(1, j) == F(i, 49)  # the foot of p
+        assert foot_point(j, i, 49) == p
 
 
 @given(index_st, unit_rational_st, unit_rational_st)
-def test_u_forward_preserves_order(j, t1, t2):
+def test_u_inverse_preserves_order(j, t1, t2):
     if t1 == t2:
         return
     lo, hi = sorted((t1, t2))
-    assert u_forward(u_inverse(j, lo)) < u_forward(u_inverse(j, hi))
+    assert u_inverse(j, lo).x < u_inverse(j, hi).x
 
 
 @settings(max_examples=60)
@@ -144,14 +141,16 @@ def test_voronoi_cut_is_midpoint_of_feet(j, t1, t2):
     if t1 == t2:
         return
     lo, hi = sorted((t1, t2))
-    left = partial_moments((t1 + t2) / 2)[0]
+    mid = t1 + t2  # the cut is mid/2, given to the kernel unreduced
+    f, _, _, d = moment_numerators(mid.numerator, 2 * mid.denominator)
+    left = F(f, d)
     assert cell_measures(j, [u_inverse(j, lo), u_inverse(j, hi)]) == [left, 1 - left]
 
 
 def test_point_set_validation():
     good = PointSet(2, (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6))))
     assert good.abscissas() == (F(-1, 6), F(1, 6))
-    assert good.feet() == (F(1, 6), F(5, 6))
+    assert good.points == (u_inverse(2, F(1, 6)), u_inverse(2, F(5, 6)))
     with pytest.raises(ValueError, match="^abscissas must be strictly increasing$"):
         PointSet(2, (ConstraintPoint(2, F(1, 6)), ConstraintPoint(2, F(-1, 6))))
     with pytest.raises(ValueError, match="^expected 3 points, got 1$"):

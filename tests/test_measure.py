@@ -10,12 +10,17 @@ from cantorq import (
     apply_map,
     centroid,
     centroid_numerators,
-    partial_moments,
     words,
 )
 from cantorq.measure import moment_numerators
 
 F = Fraction
+
+
+def partial_moments(x):
+    """v(x) = (mass, M1, M2) of the measure on [0, x] as Fractions."""
+    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
+    return F(f, d), F(m1, d), F(m2, d)
 
 word_st = st.lists(st.sampled_from((1, 2)), max_size=8).map(tuple)
 unit_st = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)

@@ -21,13 +21,19 @@ from cantorq import (
     level_of,
     lloyd_step,
     oracle,
-    partial_moments,
     quantization_error,
     rho,
     u_inverse,
 )
+from cantorq.measure import moment_numerators
 
 F = Fraction
+
+
+def partial_moments(x):
+    """v(x) = (mass, M1, M2) of the measure on [0, x] as Fractions."""
+    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
+    return F(f, d), F(m1, d), F(m2, d)
 
 
 def test_exact_distortion_one_point():
@@ -89,7 +95,7 @@ def test_lloyd_descent_through_boundary_in_cantor_set():
 def _per_cut(n, feet):
     """The sorted distinct points and their cells' (mass, M1, M2) by the
     per-cut path: each cut from the generic 2-D bisector formula on
-    Fractions, each cell a difference of `partial_moments`."""
+    Fractions, each cell a difference of kernel values."""
     pts = sorted({u_inverse(n, t) for t in feet}, key=lambda p: p.x)
     cuts = [((q.x ** 2 + q.y ** 2) - (p.x ** 2 + p.y ** 2)) / (2 * (q.x - p.x))
             for p, q in zip(pts, pts[1:])]
@@ -150,7 +156,8 @@ def test_integer_pass_matches_per_cut_path_on_former_faults():
     feet = N16_FEET
     for _ in range(4):
         _assert_matches_per_cut(16, feet)
-        feet = lloyd_step(16, [u_inverse(16, t) for t in feet]).feet()
+        feet = [2 * x + F(1, 16)
+                for x in lloyd_step(16, [u_inverse(16, t) for t in feet]).abscissas()]
 
 
 def test_one_pass_per_codebook(monkeypatch):
@@ -304,7 +311,7 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
             ps, value = results[n - 1]
             feet = tuple(F(pref[j] - pref[i], (j - i) * 2 * 3 ** level)
                          for i, j in zip(best_edges, best_edges[1:]))
-            assert ps.feet() == feet
+            assert ps.points == tuple(u_inverse(n, t) for t in feet)
             assert value == _per_interval_value(n, level, best_edges)
     assert ties > 0  # the tie-break is exercised
 
@@ -324,7 +331,7 @@ def test_dp_keeps_two_layers_of_values():
 def test_voronoi_measures_preserved(n):
     alpha = build_alpha(n)
     constrained = cell_measures(n, alpha)
-    means = alpha.feet()
+    means = [2 * x + F(1, n) for x in alpha.abscissas()]  # the feet
     midpoints = [(means[i] + means[i + 1]) / 2 for i in range(len(means) - 1)]
     ends = [partial_moments(c)[0] for c in (F(0), *midpoints, F(1))]
     unconstrained = [b - a for a, b in zip(ends, ends[1:])]
