@@ -18,14 +18,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import asymptotics, closedform, oracle
-from .closedform import (
-    admissible_split_sets,
-    build_alpha,
-    canonical_split_set,
-    count_optimal_sets,
-    quantization_error,
-    unconstrained_error,
-)
 from .measure import Word
 
 #: Rows of the largest record: point rows of `optimal-set` (n times the
@@ -60,9 +52,9 @@ def _usage_error(message: str) -> int:
 def _parse_split_selector(selector: str, n: int):
     """Returns the split sets to use for n."""
     if selector == "canonical":
-        return [canonical_split_set(n)]
+        return [closedform.canonical_split_set(n)]
     if selector == "all":
-        return admissible_split_sets(n)
+        return closedform.admissible_split_sets(n)
     ws = []
     for token in selector.split(","):
         token = token.strip()
@@ -139,20 +131,20 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
 
 def cmd_optimal_set(args) -> int:
     n = args.n  # at most MAX_RECORD_ROWS, so the binomial stays small
-    if args.split_set == "all" and count_optimal_sets(n) * n > MAX_RECORD_ROWS:
+    if (args.split_set == "all"
+            and closedform.count_optimal_sets(n) * n > MAX_RECORD_ROWS):
         return _usage_error(f"--split-set all at n={n} gives more than "
                             f"{MAX_RECORD_ROWS} point rows")
-    sets = []  # (split words, [(x, y)]) of each codebook
     try:
-        for ss in _parse_split_selector(args.split_set, n):
-            alpha = build_alpha(n, ss)  # checks the split set
-            sets.append((sorted(word_str(w) for w in ss),
-                         [(fmt_rational(p.x), fmt_rational(p.y))
-                          for p in alpha.points]))
+        # (split words, [(x, y)]) of each codebook; no name outlives its codebook
+        sets = [(sorted(word_str(w) for w in ss),
+                 [(fmt_rational(p.x), fmt_rational(p.y))
+                  for p in closedform.build_alpha(n, ss).points])
+                for ss in _parse_split_selector(args.split_set, n)]
     except ValueError as exc:
         return _usage_error(str(exc))
     # V_n, U_n and a_term = V_n - U_n are the same for every split set
-    v, u = quantization_error(n), unconstrained_error(n)
+    v, u = closedform.quantization_error(n), closedform.unconstrained_error(n)
     errors = [fmt_rational(e) for e in (v, u, v - u)]
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
@@ -171,7 +163,7 @@ def cmd_optimal_set(args) -> int:
 def cmd_error_table(args) -> int:
     rows = []
     for n in range(1, args.max_n + 1):
-        v = quantization_error(n)
+        v = closedform.quantization_error(n)
         rows.append([n, fmt_rational(v), fmt_float(float(v)),
                      fmt_rational(v - closedform.V_INFINITY)])
     _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
@@ -186,8 +178,8 @@ def cmd_verify(args) -> int:
     for n, (dp_set, dp_value) in enumerate(
             oracle.dp_optimal_upto(args.max_n, args.level), start=1):
         try:
-            alpha = build_alpha(n)
-            closed = quantization_error(n)
+            alpha = closedform.build_alpha(n)
+            closed = closedform.quantization_error(n)
             rows.append([n, fmt_rational(dp_value), fmt_rational(closed),
                          dp_value == closed,
                          set(dp_set.abscissas()) == set(alpha.abscissas()),

@@ -94,7 +94,7 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
             pts.append(foot_point(n, right, den))
         else:
             pts.append(foot_point(n, left + right, 2 * den))
-    return PointSet(n, tuple(pts))
+    return PointSet(n, pts)
 
 
 # an enumeration of split sets at one n revisits its 3 * 2**l summands

@@ -68,12 +68,14 @@ def feasible_window(n: int) -> tuple[Fraction, Fraction]:
 class PointSet:
     """An ordered codebook of n points on S_n, checked by integer comparisons:
     x = num/den is feasible when -den <= 2n*num <= (n-1)*den, and abscissas
-    increase by cross-multiplication."""
+    increase by cross-multiplication.  The points are copied to a tuple, so
+    no later change to the caller's sequence escapes the checks."""
 
     n: int
     points: tuple[ConstraintPoint, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if len(self.points) != self.n:

@@ -117,7 +117,7 @@ def lloyd_step(n: int, points) -> PointSet:
         if mass == 0:
             raise EmptyCellError(f"cell of point {p} has zero measure")
         new_pts.append(foot_point(n, m1, mass))
-    return PointSet(n, tuple(new_pts))
+    return PointSet(n, new_pts)
 
 
 def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
@@ -206,5 +206,5 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
             # sum of rho(t / den0, p) over the group's numerators t
             rho_sum += (Fraction(s2, den0 * den0) - 2 * p.x * Fraction(s1, den0)
                         + size * (p.x * p.x + p.y * p.y))
-        results.append((PointSet(n, tuple(pts)), floor + rho_sum / m))
+        results.append((PointSet(n, pts), floor + rho_sum / m))
     return results

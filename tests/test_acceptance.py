@@ -8,22 +8,23 @@ from fractions import Fraction
 
 import pytest
 
-from cantorq import (
-    EmptyCellError,
+from cantorq.asymptotics import dimension_sequence
+from cantorq.closedform import (
     a_term,
     admissible_split_sets,
     build_alpha,
+    quantization_error,
+    unconstrained_error,
+)
+from cantorq.constraint import u_inverse
+from cantorq.measure import centroid_numerators, moment_numerators
+from cantorq.oracle import (
+    EmptyCellError,
     cell_measures,
-    centroid_numerators,
-    dimension_sequence,
     dp_optimal_upto,
     exact_distortion,
     lloyd_step,
-    quantization_error,
-    u_inverse,
-    unconstrained_error,
 )
-from cantorq.measure import moment_numerators
 
 F = Fraction
 

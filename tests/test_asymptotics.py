@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cantorq import (
-    V_INFINITY,
-    dimension_sequence,
-    quantization_error,
-    sample_at,
-)
-from cantorq.closedform import excess
+from cantorq.asymptotics import dimension_sequence, sample_at
+from cantorq.closedform import V_INFINITY, excess, quantization_error
 
 F = Fraction
 

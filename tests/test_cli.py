@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import shlex
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorq import cli
+from cantorq import cli, closedform
 from cantorq.cli import _emit, _json, main
 
 
@@ -420,14 +422,33 @@ def test_emit_writes_each_row_before_pulling_the_next(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
-    error = cli.quantization_error
+    error = closedform.quantization_error
 
     def failing(n):
         if n == 5:
             raise RuntimeError("at max-n")
         return error(n)
 
-    monkeypatch.setattr(cli, "quantization_error", failing)
+    monkeypatch.setattr(closedform, "quantization_error", failing)
     with pytest.raises(RuntimeError, match="at max-n"):
         main(["error-table", "--max-n", "5", "--format", fmt])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("split_set", ["canonical", "all"])
+def test_no_codebook_is_alive_while_the_record_is_written(monkeypatch, split_set):
+    build, refs, alive = closedform.build_alpha, [], []
+
+    def tracked(*args):
+        alpha = build(*args)
+        refs.append(weakref.ref(alpha))
+        return alpha
+
+    def emit(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(closedform, "build_alpha", tracked)
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert main(["optimal-set", "--n", "6", "--split-set", split_set]) == 0
+    assert alive == [0] and len(refs) == (6 if split_set == "all" else 1)

@@ -4,22 +4,21 @@ from math import comb
 
 import pytest
 
-from cantorq import (
+from cantorq.closedform import (
+    V_INFINITY,
     a_term,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
-    centroid,
     count_optimal_sets,
-    exact_distortion,
-    feasible_window,
+    excess,
     level_of,
     quantization_error,
-    u_inverse,
     unconstrained_error,
-    words,
 )
-from cantorq.closedform import V_INFINITY, excess
+from cantorq.constraint import feasible_window, u_inverse
+from cantorq.measure import centroid, words
+from cantorq.oracle import exact_distortion
 
 F = Fraction
 

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorq import (
+from cantorq.constraint import (
     ConstraintPoint,
     PointSet,
-    cell_measures,
     feasible_window,
     foot_point,
     rho,
     u_inverse,
 )
 from cantorq.measure import moment_numerators
+from cantorq.oracle import cell_measures, exact_distortion
 
 F = Fraction
 
@@ -159,6 +159,18 @@ def test_point_set_validation():
         PointSet(2, (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 2))))
     with pytest.raises(ValueError, match="is not on S_2$"):
         PointSet(2, (ConstraintPoint(3, F(-1, 6)), ConstraintPoint(2, F(1, 6))))
+
+
+def test_point_set_keeps_its_points_when_the_callers_list_changes():
+    first, second = ConstraintPoint(2, F(-1, 4)), ConstraintPoint(2, F(1, 4))
+    pts = [first, second]
+    ps = PointSet(2, pts)
+    assert exact_distortion(2, ps) == F(7, 12)  # the oracle keeps this pass
+    pts[1] = ConstraintPoint(2, F(0))
+    assert ps.points == (first, second)
+    assert exact_distortion(2, ps) == F(7, 12)
+    assert exact_distortion(2, PointSet(2, pts)) == F(3, 5)
+    assert hash(ps) == hash(PointSet(2, (first, second)))
 
 
 def _abscissa_st(n):

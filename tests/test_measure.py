@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorq import (
+from cantorq.measure import (
     MEAN,
     VARIANCE,
     apply_map,
     centroid,
     centroid_numerators,
+    moment_numerators,
     words,
 )
-from cantorq.measure import moment_numerators
 
 F = Fraction
 

@@ -7,25 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorq import (
-    VARIANCE,
+from cantorq import oracle
+from cantorq.closedform import build_alpha, level_of, quantization_error
+from cantorq.constraint import (
     ConstraintPoint,
-    EmptyCellError,
     PointSet,
-    build_alpha,
-    cell_measures,
-    centroid_numerators,
-    dp_optimal_upto,
-    exact_distortion,
     feasible_window,
-    level_of,
-    lloyd_step,
-    oracle,
-    quantization_error,
     rho,
     u_inverse,
 )
-from cantorq.measure import moment_numerators
+from cantorq.measure import VARIANCE, centroid_numerators, moment_numerators
+from cantorq.oracle import (
+    EmptyCellError,
+    cell_measures,
+    dp_optimal_upto,
+    exact_distortion,
+    lloyd_step,
+)
 
 F = Fraction
 
