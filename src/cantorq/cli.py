@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("asymptotics", help="dimension / coefficient sequences")
-    p.add_argument("--kind", choices=("dimension", "coefficient"),
-                   required=True)
+    p.add_argument("--kind", choices=("dimension", "coefficient"), required=True,
+                   help="selects the column only together with --plot-data")
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--plot-data", action="store_true")
     add_format(p)

@@ -111,6 +111,8 @@ def moment_numerators(p: int, q: int) -> tuple[int, int, int, int]:
     See Graf & Luschgy, "The quantization of the Cantor distribution",
     Math. Nachr. 183 (1997).
     """
+    if q <= 0:
+        raise ValueError(f"denominator must be > 0, got {q}")
     if p <= 0:
         return 0, 0, 0, 1
     if p >= q:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .constraint import ConstraintPoint, PointSet, foot_point
+from .constraint import PointSet, foot_point
 from .measure import VARIANCE, centroid_numerators, moment_numerators
 
 
@@ -30,48 +30,42 @@ class EmptyCellError(OracleError):
     """A Voronoi cell carries zero measure."""
 
 
-def _prepare(n: int, points, *, collapse: bool) -> tuple[ConstraintPoint, ...]:
-    if isinstance(points, PointSet):
-        if points.n != n:
-            raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
-        # PointSet guarantees points on S_n with increasing abscissas
-        return points.points
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("need at least one point")
-    for p in pts:
-        if p.j != n:
-            raise ValueError(f"point {p} is not on S_{n}")
-    pts = tuple(sorted(pts, key=lambda p: p.x))
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p.x == out[-1].x:
-            if not collapse:
-                raise ValueError(f"duplicate abscissa {p.x}")
-            continue
-        out.append(p)
-    return tuple(out)
-
-
 # (n, pts, pass) of the most recent _voronoi call, read and replaced whole, so
 # that no caller pairs one codebook's key with another's pass
 _last: tuple = (0, (), None)
 
 
-def _voronoi(n: int, pts: tuple[ConstraintPoint, ...]):
-    """Integer Voronoi cells of sorted points on S_n: (e, a, r, cells, den).
+def _voronoi(n: int, points):
+    """Integer Voronoi cells of a codebook on S_n: (pts, e, a, r, cells, den).
 
-    Point i is (a_i, c_i)/e over e = lcm(n, abscissa denominators), a common
-    denominator of every x and of every y = x + 1/n, so the ordinate numerator
-    is c_i = a_i + e/n; r_i = a_i**2 + c_i**2.  The cut between neighbours
-    (a, c)/e and (b, d)/e, a < b, is the generic 2-D bisector crossing of the
-    real line (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every
-    kernel value is brought to one denominator den, so each cell's
-    (mass, M1, M2) are integer differences.  A call whose n and points equal
-    the last call's (by identity, else tuple equality; nothing is hashed)
-    returns the last pass.
+    pts is a PointSet's own tuple, or any other iterable of points on S_n,
+    nonempty, sorted by abscissa, none repeated.  Point i is (a_i, c_i)/e over
+    e = lcm(n, abscissa denominators), a common denominator of every x and of
+    every y = x + 1/n, so the ordinate numerator is c_i = a_i + e/n;
+    r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and (b, d)/e,
+    a < b, is the generic 2-D bisector crossing of the real line
+    (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
+    value is brought to one denominator den, so each cell's (mass, M1, M2) are
+    integer differences.  A call whose n and points equal the last call's (by
+    identity, else tuple equality; nothing is hashed) returns the last pass.
     """
     global _last
+    if isinstance(points, PointSet):
+        if points.n != n:
+            raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
+        # PointSet guarantees points on S_n with increasing abscissas
+        pts = points.points
+    else:
+        pts = tuple(points)
+        if not pts:
+            raise ValueError("need at least one point")
+        for p in pts:
+            if p.j != n:
+                raise ValueError(f"point {p} is not on S_{n}")
+        pts = tuple(sorted(pts, key=lambda p: p.x))
+        for p0, p1 in zip(pts, pts[1:]):
+            if p0.x == p1.x:
+                raise ValueError(f"duplicate abscissa {p1.x}")
     last_n, last_pts, last = _last
     if n == last_n and (pts is last_pts or pts == last_pts):
         return last
@@ -84,7 +78,7 @@ def _voronoi(n: int, pts: tuple[ConstraintPoint, ...]):
     vs = [(f * (k := den // d), m1 * k, m2 * k) for f, m1, m2, d in ends]
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
-    result = e, a, r, cells, den
+    result = pts, e, a, r, cells, den
     _last = n, pts, result
     return result
 
@@ -95,25 +89,27 @@ def exact_distortion(n: int, points) -> Fraction:
     Duplicate points collapse to one.  Each cell contributes
     M2 - 2x M1 + (x**2 + y**2) mass for its point (x, y).
     """
-    e, a, r, cells, den = _voronoi(n, _prepare(n, points, collapse=True))
+    if not isinstance(points, PointSet):
+        points = dict.fromkeys(points)  # keeps the first of each, in order
+    _, e, a, r, cells, den = _voronoi(n, points)
     return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
                         for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
 
 
 def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
-    *_, cells, den = _voronoi(n, _prepare(n, points, collapse=False))
+    *_, cells, den = _voronoi(n, points)
     return [Fraction(mass, den) for mass, _, _ in cells]
 
 
 def lloyd_step(n: int, points) -> PointSet:
     """One constrained Lloyd iteration: recenter each point at the pullback
     of its Voronoi cell's conditional mean.  Distortion never increases."""
-    pts = _prepare(n, points, collapse=False)
+    pts, *_, cells, _ = _voronoi(n, points)
     if len(pts) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
     new_pts = []
-    for p, (mass, m1, _) in zip(pts, _voronoi(n, pts)[3]):
+    for p, (mass, m1, _) in zip(pts, cells):
         if mass == 0:
             raise EmptyCellError(f"cell of point {p} has zero measure")
         new_pts.append(foot_point(n, m1, mass))

@@ -22,7 +22,7 @@ def test_voronoi_slot_holds_one_codebook():
     for ps in codebooks:
         oracle.exact_distortion(ps.n, ps)
         oracle.cell_measures(ps.n, ps)
-    n, pts, (_, a, r, cells, _) = oracle._last
+    n, pts, (_, _, a, r, cells, _) = oracle._last
     assert (n, pts) == (codebooks[-1].n, codebooks[-1].points)
     assert len(a) == len(r) == len(cells) == n
 

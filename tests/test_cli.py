@@ -355,7 +355,7 @@ def test_every_argv_gives_one_record_or_one_error(argv):
 
 
 @pytest.mark.xfail(raises=OverflowError,
-                   reason="ROADMAP item 4: the coefficient n**2 * excess "
+                   reason="ROADMAP item 5: the coefficient n**2 * excess "
                           "overflows a float past level 1024")
 def test_asymptotics_past_level_1024():
     main(["asymptotics", "--kind", "dimension", "--max-level", "1025"])

@@ -230,3 +230,10 @@ def test_moment_numerators_ignore_common_factors(x):
 @given(st.fractions(min_value=-1, max_value=2, max_denominator=10 ** 4))
 def test_moment_numerators_ignore_common_factors_drawn(x):
     _assert_scale_invariant(x)
+
+
+@pytest.mark.parametrize("p, q", [(-1, -3), (2, -3), (0, 0), (1, 0), (5, -1)])
+def test_moment_numerators_reject_nonpositive_denominators(p, q):
+    # -1/-3 = 1/3 would otherwise clamp to v(0), and 2/-3 to v(1)
+    with pytest.raises(ValueError, match="^denominator must be > 0"):
+        moment_numerators(p, q)

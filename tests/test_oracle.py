@@ -197,6 +197,26 @@ def test_lloyd_step_rejects_duplicates():
         lloyd_step(2, [p, p])
 
 
+@pytest.mark.parametrize("evaluate", [exact_distortion, cell_measures, lloyd_step])
+def test_one_intake_for_the_three_evaluators(evaluate):
+    ps = build_alpha(3)
+    pts = list(ps.points)
+    expected = evaluate(3, ps)
+    for good in (pts, pts[::-1], (p for p in pts)):
+        assert evaluate(3, good) == expected
+    repeated = [pts[0], *pts]
+    if evaluate is exact_distortion:
+        assert evaluate(3, repeated) == F(67, 162)
+    else:
+        with pytest.raises(ValueError, match="^duplicate abscissa -5/36$"):
+            evaluate(3, repeated)
+    for bad, message in (([*pts[:2], ConstraintPoint(4, F(0))], "is not on S_3"),
+                         ([], "^need at least one point$"),
+                         (build_alpha(4), "^point set is on S_4, expected S_3$")):
+        with pytest.raises(ValueError, match=message):
+            evaluate(3, bad)
+
+
 @pytest.mark.parametrize("n", range(1, 33))
 def test_lloyd_fixed_point_at_optimum(n):
     alpha = build_alpha(n)
