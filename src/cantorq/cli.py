@@ -6,7 +6,7 @@ floats are rendered at 12 significant digits.  No record holds more
 than MAX_RECORD_ROWS rows.  Both formats are written row by row, after
 every step that can fail; a JSON record has the bytes of
 json.dumps(record, sort_keys=True, indent=2).  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error (one stderr line; repr if unprintable).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import asymptotics, closedform, oracle
-from .measure import Word
 
 #: Rows of the largest record: point rows of `optimal-set` (n times the
 #: number of split sets), or rows of `error-table`, `verify` and `asymptotics`.
@@ -40,29 +39,19 @@ def fmt_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def word_str(w: Word) -> str:
-    return "".join(str(c) for c in w)
-
-
 def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    print("error:", message if message.isprintable() else repr(message),
+          file=sys.stderr)
     return 2
 
 
 def _parse_split_selector(selector: str, n: int):
-    """Returns the split sets to use for n."""
+    """Returns the split sets to use for n; closedform checks the words."""
     if selector == "canonical":
         return [closedform.canonical_split_set(n)]
     if selector == "all":
         return closedform.admissible_split_sets(n)
-    ws = []
-    for token in selector.split(","):
-        token = token.strip()
-        if token and any(c not in "12" for c in token):
-            raise ValueError(f"invalid word {token!r}")
-        if token:
-            ws.append(tuple(int(c) for c in token))
-    return [ws]
+    return [[w for token in selector.split(",") if (w := token.strip())]]
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -137,7 +126,7 @@ def cmd_optimal_set(args) -> int:
                             f"{MAX_RECORD_ROWS} point rows")
     try:
         # (split words, [(x, y)]) of each codebook; no name outlives its codebook
-        sets = [(sorted(word_str(w) for w in ss),
+        sets = [(sorted(ss),
                  [(fmt_rational(p.x), fmt_rational(p.y))
                   for p in closedform.build_alpha(n, ss).points])
                 for ss in _parse_split_selector(args.split_set, n)]

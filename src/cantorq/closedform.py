@@ -59,12 +59,11 @@ def _checked_split_set(n: int, split_set) -> frozenset[Word]:
         return canonical_split_set(n)
     l = level_of(n)
     checked: set[Word] = set()
-    for w in map(tuple, split_set):
-        letters = "".join(map(str, w))
-        if len(w) != l or any(c not in (1, 2) for c in w):
-            raise ValueError(f"{letters} is not a word of length {l} over {{1,2}}")
+    for w in split_set:
+        if not isinstance(w, str) or len(w) != l or w.strip("12"):
+            raise ValueError(f"{w} is not a word of length {l} over {{1,2}}")
         if w in checked:
-            raise ValueError(f"repeated word {letters}")
+            raise ValueError(f"repeated word {w}")
         checked.add(w)
     if len(checked) != n - 2 ** l:
         raise ValueError(
@@ -112,7 +111,7 @@ def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
     total = Fraction(0)
     for w in words(l):
         if w in split_set:
-            total += _summand(n, w + (1,)) + _summand(n, w + (2,))
+            total += _summand(n, w + "1") + _summand(n, w + "2")
         else:
             total += _summand(n, w)
     return total

@@ -3,8 +3,8 @@
 The n-th constraint is the segment S_n = {(x, x + 1/n) : -1/n <= x <= 1},
 parallel to y = x.  Dropping a perpendicular from a point of S_n to the
 real axis lands at 2x + 1/n, which gives an order-preserving bijection
-between S_n and an interval of the line; all Voronoi computations in this
-package happen on the line through that bijection.
+between S_n and an interval of the line.  The closed forms and the DP work
+on these feet; the integer pass in oracle._voronoi cuts with 2-D bisectors.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ class ConstraintPoint:
     x: Fraction
 
     def __post_init__(self):
+        if not (isinstance(self.j, int) and isinstance(self.x, (int, Fraction))):
+            raise TypeError(f"need an int j and an int or Fraction x: {self!r}")
         if self.j < 1:
             raise ValueError(f"constraint index must be >= 1, got {self.j}")
         if type(self.x) is not Fraction:
@@ -53,7 +55,8 @@ def foot_point(j: int, num: int, den: int) -> ConstraintPoint:
 
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
-    t = t if type(t) is Fraction else Fraction(t)
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"foot must be an int or Fraction, got {t!r}")
     return foot_point(j, t.numerator, t.denominator)
 
 
@@ -76,6 +79,8 @@ class PointSet:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        if not isinstance(self.n, int):
+            raise TypeError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if len(self.points) != self.n:

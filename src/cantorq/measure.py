@@ -1,7 +1,7 @@
 """Cantor IFS, centroids and the exact integration kernel.
 
-The generating maps are t1(x) = x/3 and t2(x) = x/3 + 2/3.  A word sigma
-over the alphabet {1, 2} addresses the composition
+The generating maps are t1(x) = x/3 and t2(x) = x/3 + 2/3.  A word sigma,
+the string "s1s2...sk" over the letters "1" and "2", addresses the composition
 
     T_sigma = t_{sigma[0]} o t_{sigma[1]} o ... o t_{sigma[k-1]},
 
@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-Word = tuple[int, ...]
+Word = str
 
 #: Mean of the Cantor distribution.
 MEAN = Fraction(1, 2)
@@ -34,25 +34,20 @@ _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
 
 
-def _check_word(word: Word) -> None:
-    for letter in word:
-        if letter not in (1, 2):
-            raise ValueError(f"word letters must be 1 or 2, got {letter!r}")
-
-
 def words(k: int) -> Iterator[Word]:
     """All words of length k in lexicographic order."""
     if k < 0:
         raise ValueError("word length must be >= 0")
-    return itertools.product((1, 2), repeat=k)
+    return map("".join, itertools.product("12", repeat=k))
 
 
 def apply_map(word: Word, x: Fraction) -> Fraction:
     """Apply the composition T_word to x (empty word is the identity)."""
-    _check_word(word)
+    if word.strip("12"):
+        raise ValueError(f"word letters must be 1 or 2, got {word!r}")
     for letter in reversed(word):
         x = x * _ONE_THIRD
-        if letter == 2:
+        if letter == "2":
             x += _TWO_THIRDS
     return x
 

@@ -78,9 +78,16 @@ def test_optimal_set_invalid_split_set_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, err", [
     ("optimal-set --n 3 --split-set 11", "11 is not a word of length 1 over {1,2}"),
     ("optimal-set --n 5 --split-set 11,11", "repeated word 11"),
+    ("optimal-set --n 3 --split-set 3", "3 is not a word of length 1 over {1,2}"),
+    ("optimal-set --n 3 --split-set bogus",
+     "bogus is not a word of length 1 over {1,2}"),
+    ("optimal-set --n 5 --split-set 1x,2", "1x is not a word of length 2 over {1,2}"),
+    # repr keeps the usage error on one line
+    ("optimal-set --n 3 --split-set 1\n2",
+     "'1\\n2 is not a word of length 1 over {1,2}'"),
 ])
 def test_bad_split_word_is_named_by_its_letters(capsys, argv, err):
-    assert main(argv.split()) == 2
+    assert main(argv.split(" ")) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
@@ -332,6 +339,7 @@ def argvs(draw):
 @example(["asymptotics", "--kind", "dimension",
           "--max-level", str(2 ** 16 + 1)])
 @example(["optimal-set", "--n", "x"])
+@example(["optimal-set", "--n", "3", "--split-set", "1\r\n2\u2028"])
 @example(["error-table"])
 def test_every_argv_gives_one_record_or_one_error(argv):
     code, out, err = _run_captured(argv)

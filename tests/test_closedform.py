@@ -40,8 +40,8 @@ def test_count_optimal_sets():
 
 def test_canonical_split_set_is_lex_smallest():
     assert canonical_split_set(4) == frozenset()
-    assert canonical_split_set(3) == frozenset({(1,)})
-    assert canonical_split_set(6) == frozenset({(1, 1), (1, 2)})
+    assert canonical_split_set(3) == frozenset({"1"})
+    assert canonical_split_set(6) == frozenset({"11", "12"})
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12])
@@ -61,7 +61,7 @@ def test_build_alpha_four_points():
 
 
 def test_build_alpha_split_right_parent():
-    assert build_alpha(3, {(2,)}).abscissas() == (F(-1, 12), F(7, 36), F(11, 36))
+    assert build_alpha(3, {"2"}).abscissas() == (F(-1, 12), F(7, 36), F(11, 36))
 
 
 def test_build_alpha_one_point():
@@ -74,14 +74,18 @@ def test_build_alpha_rejects_bad_split_sets():
     with pytest.raises(ValueError):
         build_alpha(3, set())          # wrong cardinality
     with pytest.raises(ValueError, match=r"^11 is not a word of length 1 over \{1,2\}$"):
-        build_alpha(3, {(1, 1)})       # wrong word length
+        build_alpha(3, {"11"})         # wrong word length
     with pytest.raises(ValueError, match=r"^3 is not a word of length 1 over \{1,2\}$"):
-        build_alpha(2, {(3,)})         # bad letter
+        build_alpha(2, {"3"})          # bad letter
+    with pytest.raises(ValueError, match=r"^1x is not a word of length 2 over \{1,2\}$"):
+        a_term(5, ["1x"])              # bad letter of the right length
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a word of length 1 over \{1,2\}$"):
+        build_alpha(3, {(1,)})         # a word is a string, not a tuple
 
 
 @pytest.mark.parametrize("build, n, split_set, word", [
-    (build_alpha, 3, [(1,), (1,)], "1"),
-    (a_term, 5, [(1, 1), (1, 1)], "11"),
+    (build_alpha, 3, ["1", "1"], "1"),
+    (a_term, 5, ["11", "11"], "11"),
 ])
 def test_repeated_split_word_is_refused(build, n, split_set, word):
     # merged into one, the repeated word would meet the n - 2**l count
@@ -96,7 +100,7 @@ def test_build_alpha_matches_word_by_word_construction(n):
     l = level_of(n)
     for ss in admissible_split_sets(n):
         feet = [centroid(w + c) for w in words(l)
-                for c in ([(1,), (2,)] if w in ss else [()])]
+                for c in (["1", "2"] if w in ss else [""])]
         expected = sorted(u_inverse(n, t).x for t in feet)
         alpha = build_alpha(n, ss)
         assert alpha.abscissas() == tuple(expected)
@@ -126,7 +130,7 @@ def test_a_term_two_points():
 
 
 def test_a_term_split_choice_does_not_matter_at_three():
-    assert a_term(3, {(1,)}) == a_term(3, {(2,)}) == F(526, 1296)
+    assert a_term(3, {"1"}) == a_term(3, {"2"}) == F(526, 1296)
 
 
 @pytest.mark.parametrize("level", range(1, 7))

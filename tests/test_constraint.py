@@ -47,9 +47,27 @@ def test_constraint_point_range_ends(j):
 
 
 def test_constraint_point_wraps_non_fraction_abscissa():
-    for x, expected in ((0, F(0)), ("1/3", F(1, 3))):
+    for x, expected in ((0, F(0)), (1, F(1))):
         p = ConstraintPoint(3, x)
         assert type(p.x) is Fraction and p.x == expected
+
+
+S2_PAIR = (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6)))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ConstraintPoint(2, 0.1), id="float-abscissa"),
+    pytest.param(lambda: ConstraintPoint(3, "1/3"), id="str-abscissa"),
+    pytest.param(lambda: ConstraintPoint(2.0, F(0)), id="float-index"),
+    pytest.param(lambda: ConstraintPoint(F(2), F(0)), id="fraction-index"),
+    pytest.param(lambda: u_inverse(2, 0.3), id="float-foot"),
+    pytest.param(lambda: u_inverse(2.0, F(1, 3)), id="float-index-foot"),
+    pytest.param(lambda: PointSet(2.0, S2_PAIR), id="float-n"),
+])
+def test_a_float_is_refused_never_made_a_rational(make):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        make()
 
 
 @given(index_st, unit_rational_st)
