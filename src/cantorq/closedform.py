@@ -57,6 +57,8 @@ def admissible_split_sets(n: int) -> Iterator[frozenset[Word]]:
 def _checked_split_set(n: int, split_set) -> frozenset[Word]:
     if split_set is None:
         return canonical_split_set(n)
+    if isinstance(split_set, str):
+        raise TypeError("a split set is a collection of words, not a str")
     l = level_of(n)
     checked: set[Word] = set()
     for w in split_set:

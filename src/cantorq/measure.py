@@ -43,7 +43,7 @@ def words(k: int) -> Iterator[Word]:
 
 def apply_map(word: Word, x: Fraction) -> Fraction:
     """Apply the composition T_word to x (empty word is the identity)."""
-    if word.strip("12"):
+    if not isinstance(word, str) or word.strip("12"):
         raise ValueError(f"word letters must be 1 or 2, got {word!r}")
     for letter in reversed(word):
         x = x * _ONE_THIRD

@@ -6,7 +6,8 @@ one exact integer pass: generic 2-D bisector cuts over a common denominator
 go unreduced to the kernel `measure.moment_numerators`, and each cell's mass
 and first two moments are integer differences at its boundaries.  The Lloyd
 step recenters every point at the pullback of its cell's conditional mean.
-One slot keyed by (n, prepared points) keeps the last codebook's integer pass.
+A PointSet keeps its own integer pass, so the evaluators integrate each
+codebook once; a plain sequence of points is integrated on every call.
 The DP searches globally over all placements whose cell boundaries fall on
 level-k interval edges.
 """
@@ -30,11 +31,6 @@ class EmptyCellError(OracleError):
     """A Voronoi cell carries zero measure."""
 
 
-# (n, pts, pass) of the most recent _voronoi call, read and replaced whole, so
-# that no caller pairs one codebook's key with another's pass
-_last: tuple = (0, (), None)
-
-
 def _voronoi(n: int, points):
     """Integer Voronoi cells of a codebook on S_n: (pts, e, a, r, cells, den).
 
@@ -46,17 +42,19 @@ def _voronoi(n: int, points):
     a < b, is the generic 2-D bisector crossing of the real line
     (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
     value is brought to one denominator den, so each cell's (mass, M1, M2) are
-    integer differences.  A call whose n and points equal the last call's (by
-    identity, else tuple equality; nothing is hashed) returns the last pass.
+    integer differences.  A frozen PointSet keeps its pass in its instance
+    dict under "_pass", as functools.cached_property does, unseen by its
+    equality, hash and repr; any other input is integrated on every call.
     """
-    global _last
     if isinstance(points, PointSet):
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
         # PointSet guarantees points on S_n with increasing abscissas
-        pts = points.points
+        memo, pts = vars(points), points.points
+        if "_pass" in memo:
+            return memo["_pass"]
     else:
-        pts = tuple(points)
+        memo, pts = {}, tuple(points)
         if not pts:
             raise ValueError("need at least one point")
         for p in pts:
@@ -66,9 +64,6 @@ def _voronoi(n: int, points):
         for p0, p1 in zip(pts, pts[1:]):
             if p0.x == p1.x:
                 raise ValueError(f"duplicate abscissa {p1.x}")
-    last_n, last_pts, last = _last
-    if n == last_n and (pts is last_pts or pts == last_pts):
-        return last
     e = lcm(n, *(p.x.denominator for p in pts))
     a = [p.x.numerator * (e // p.x.denominator) for p in pts]
     r = [u * u + (u + e // n) ** 2 for u in a]
@@ -78,8 +73,7 @@ def _voronoi(n: int, points):
     vs = [(f * (k := den // d), m1 * k, m2 * k) for f, m1, m2, d in ends]
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
-    result = pts, e, a, r, cells, den
-    _last = n, pts, result
+    memo["_pass"] = result = pts, e, a, r, cells, den
     return result
 
 
@@ -104,7 +98,8 @@ def cell_measures(n: int, points) -> list[Fraction]:
 
 def lloyd_step(n: int, points) -> PointSet:
     """One constrained Lloyd iteration: recenter each point at the pullback
-    of its Voronoi cell's conditional mean.  Distortion never increases."""
+    of its Voronoi cell's conditional mean.  Distortion never increases.
+    A PointSet that no point leaves is returned itself, with its pass."""
     pts, *_, cells, _ = _voronoi(n, points)
     if len(pts) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
@@ -113,7 +108,8 @@ def lloyd_step(n: int, points) -> PointSet:
         if mass == 0:
             raise EmptyCellError(f"cell of point {p} has zero measure")
         new_pts.append(foot_point(n, m1, mass))
-    return PointSet(n, new_pts)
+    new = PointSet(n, new_pts)
+    return points if new == points else new
 
 
 def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 from cantorq import asymptotics, cli, closedform, constraint, measure, oracle
@@ -13,21 +14,19 @@ def test_every_cache_is_bounded():
     assert {name: size for name, size in caches.items() if size is None} == {}
 
 
-def test_voronoi_slot_holds_one_codebook():
-    # the optimal codebooks and the codebooks with evenly spaced feet
-    codebooks = [closedform.build_alpha(n) for n in range(1, 33)]
-    codebooks += [constraint.PointSet(n, tuple(
-        constraint.u_inverse(n, Fraction(2 * i + 1, 2 * n)) for i in range(n)))
-        for n in range(1, 33)]
-    for ps in codebooks:
-        oracle.exact_distortion(ps.n, ps)
-        oracle.cell_measures(ps.n, ps)
-    n, pts, (_, _, a, r, cells, _) = oracle._last
-    assert (n, pts) == (codebooks[-1].n, codebooks[-1].points)
-    assert len(a) == len(r) == len(cells) == n
+def test_a_codebooks_pass_lives_and_dies_with_it():
+    # the pass is kept on its PointSet, unseen by equality, hash and repr,
+    # and nothing else holds a point of a codebook that is gone
+    ps = closedform.build_alpha(12)
+    point = weakref.ref(ps.points[0])
+    assert oracle.exact_distortion(12, ps) == closedform.quantization_error(12)
+    fresh = closedform.build_alpha(12)
+    assert (ps, hash(ps), repr(ps)) == (fresh, hash(fresh), repr(fresh))
+    del ps, fresh
+    assert point() is None
 
 
-def test_returned_masses_do_not_alias_the_slot():
+def test_returned_masses_do_not_alias_the_pass():
     ps = closedform.build_alpha(12)
     masses = oracle.cell_measures(12, ps)
     expected = list(masses)

@@ -81,6 +81,10 @@ def test_build_alpha_rejects_bad_split_sets():
         a_term(5, ["1x"])              # bad letter of the right length
     with pytest.raises(ValueError, match=r"^\(1,\) is not a word of length 1 over \{1,2\}$"):
         build_alpha(3, {(1,)})         # a word is a string, not a tuple
+    # a bare str is not read letter by letter, as {"1"} or {"2"}
+    for build, n, split_set in [(build_alpha, 5, "11"), (build_alpha, 3, "2"), (a_term, 3, "2")]:
+        with pytest.raises(TypeError, match="^a split set is a collection of words, not a str$"):
+            build(n, split_set)
 
 
 @pytest.mark.parametrize("build, n, split_set, word", [

@@ -48,6 +48,11 @@ def test_apply_map_first_letter_applied_last():
 def test_apply_map_rejects_bad_letter():
     with pytest.raises(ValueError):
         apply_map("13", F(0))
+    # a word that is not a str gets the same error, whatever its type
+    for word in [(1, 2), ["1"], b"12", 12]:
+        for call in (lambda: apply_map(word, F(0)), lambda: centroid(word)):
+            with pytest.raises(ValueError, match="^word letters must be 1 or 2, got "):
+                call()
 
 
 def _between(a, b):

@@ -160,28 +160,42 @@ def test_integer_pass_matches_per_cut_path_on_former_faults():
 
 def test_one_pass_per_codebook(monkeypatch):
     # an n-point codebook takes n + 1 kernel values (its n - 1 cuts and the
-    # two ends); the three calls on it share them
+    # two ends); a PointSet keeps them for the three calls on it
     n, kernel, calls = 16, oracle.moment_numerators, []
 
     def counted(p, q):
         calls.append((p, q))
         return kernel(p, q)
 
-    exact_distortion(1, build_alpha(1))  # another codebook holds the slot
     monkeypatch.setattr(oracle, "moment_numerators", counted)
     ps = PointSet(n, tuple(u_inverse(n, t) for t in N16_FEET))
     exact_distortion(n, ps)
     cell_measures(n, ps)
     lloyd_step(n, ps)
     assert len(calls) == n + 1
-    # codebooks A, B, A, where B moves one foot: A is still in the slot, and
-    # each switch after it is a new pass
+    # a Lloyd step that moves no point returns its codebook, pass and all;
+    # from a list it still returns a PointSet
+    alpha = build_alpha(n)
+    exact_distortion(n, alpha)
+    del calls[:]
+    assert lloyd_step(n, alpha) is alpha
+    assert calls == []
+    assert lloyd_step(n, list(alpha.points)) == alpha
+    # PointSets A, B, A, where B moves one foot: each keeps its own pass, so
+    # going back to A integrates nothing
     moved = list(N16_FEET)
     moved[5] = F(3035, 2 * 3 ** 8)
+    a, b = (PointSet(n, tuple(u_inverse(n, t) for t in feet)) for feet in (N16_FEET, moved))
+    del calls[:]
+    for ps in (a, b, a):
+        exact_distortion(n, ps)
+        cell_measures(n, ps)
+    assert len(calls) == 2 * (n + 1)
+    # a list is integrated on every call: three calls on each of A, B, A
     del calls[:]
     for feet in (N16_FEET, moved, N16_FEET):
         _assert_matches_per_cut(n, feet)
-    assert len(calls) == 2 * (n + 1)
+    assert len(calls) == 9 * (n + 1)
 
 
 def test_empty_cell_error():
