@@ -14,8 +14,8 @@ every excess is an exact rational first and only its logarithm is a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import closedform
 
@@ -26,8 +26,7 @@ def _log(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-@dataclass(frozen=True)
-class AsymptoticSample:
+class AsymptoticSample(NamedTuple):
     n: int
     v_n: Fraction
     excess: Fraction

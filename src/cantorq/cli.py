@@ -16,8 +16,9 @@ import csv
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
-from . import asymptotics, closedform, oracle
+from . import asymptotics, closedform, constraint, oracle
 
 #: Rows of the largest record: point rows of `optimal-set` (n times the
 #: number of split sets), or rows of `error-table`, `verify` and `asymptotics`.
@@ -26,6 +27,11 @@ MAX_RECORD_ROWS = 2 ** 16
 #: Highest `verify --level`: the DP enumerates all 2**level centroids.
 MAX_ENUM_LEVEL = 20
 
+#: Largest (max-n - 1) * 2**level of `verify`: its DP fills max-n - 1 layers
+#: of up to 2**level rows.  The largest argvs allowed took 12-53 s on one
+#: core (README), and the argmax pointers take 4 bytes per row.
+VERIFY_BUDGET = 2 ** 21
+
 #: The inclusive upper bound of each integer flag; the lower bound is 1.
 FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
                "level": MAX_ENUM_LEVEL, "max_level": MAX_RECORD_ROWS}
@@ -33,6 +39,18 @@ FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
 
 def fmt_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _fmt_points(ps) -> list[tuple[str, str]]:
+    """(x, y) of each point of a codebook as "p/q", from its integer feet
+    with one gcd each: the strings fmt_rational writes for x and y."""
+    e, xs, ys = constraint.point_numerators(ps.n, ps.den, ps.feet)
+    return [(_fmt_ratio(a, e), _fmt_ratio(c, e)) for a, c in zip(xs, ys)]
+
+
+def _fmt_ratio(p: int, q: int) -> str:
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
 def fmt_float(x: float) -> str:
@@ -126,9 +144,7 @@ def cmd_optimal_set(args) -> int:
                             f"{MAX_RECORD_ROWS} point rows")
     try:
         # (split words, [(x, y)]) of each codebook; no name outlives its codebook
-        sets = [(sorted(ss),
-                 [(fmt_rational(p.x), fmt_rational(p.y))
-                  for p in closedform.build_alpha(n, ss).points])
+        sets = [(sorted(ss), _fmt_points(closedform.build_alpha(n, ss)))
                 for ss in _parse_split_selector(args.split_set, n)]
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -163,6 +179,9 @@ def cmd_verify(args) -> int:
     if args.max_n > 2 ** args.level:
         return _usage_error(f"max-n {args.max_n} exceeds 2**level = "
                             f"{2 ** args.level}")
+    if (args.max_n - 1) * 2 ** args.level > VERIFY_BUDGET:
+        return _usage_error(f"(max-n - 1) * 2**level exceeds the work budget "
+                            f"{VERIFY_BUDGET}")
     rows = []
     for n, (dp_set, dp_value) in enumerate(
             oracle.dp_optimal_upto(args.max_n, args.level), start=1):
@@ -170,10 +189,8 @@ def cmd_verify(args) -> int:
             alpha = closedform.build_alpha(n)
             closed = closedform.quantization_error(n)
             rows.append([n, fmt_rational(dp_value), fmt_rational(closed),
-                         dp_value == closed,
-                         set(dp_set.abscissas()) == set(alpha.abscissas()),
-                         (oracle.lloyd_step(n, alpha).abscissas()
-                          == alpha.abscissas())])
+                         dp_value == closed, dp_set == alpha,
+                         oracle.lloyd_step(n, alpha) == alpha])
         except oracle.OracleError as exc:
             print(f"error: oracle failure at n={n}: {exc}", file=sys.stderr)
             return 1
@@ -224,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_error_table)
 
     p = sub.add_parser("verify", help="DP and Lloyd checks against closed forms")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True,
+                   help="checks n = 1..max-n; the work budget is "
+                        f"(max-n - 1) * 2**level <= {VERIFY_BUDGET}")
     p.add_argument("--level", type=int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_verify)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .constraint import PointSet, foot_point, rho, u_inverse
+from .constraint import PointSet, rho, u_inverse
 from .measure import Word, centroid, centroid_numerators, words
 
 V_INFINITY = Fraction(3, 16)
@@ -86,16 +86,14 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
     """
     split_set = _checked_split_set(n, split_set)
     l = level_of(n)
-    den = 2 * 3 ** (l + 1)
     nums = centroid_numerators(l + 1)
-    pts = []
+    feet = []  # over 2 * 3**(l + 1); both children's numerators are odd
     for w, left, right in zip(words(l), nums[::2], nums[1::2]):
         if w in split_set:
-            pts.append(foot_point(n, left, den))
-            pts.append(foot_point(n, right, den))
+            feet += (left, right)
         else:
-            pts.append(foot_point(n, left + right, 2 * den))
-    return PointSet(n, pts)
+            feet.append((left + right) // 2)
+    return PointSet.from_feet(n, 2 * 3 ** (l + 1), feet)
 
 
 # an enumeration of split sets at one n revisits its 3 * 2**l summands

@@ -2,18 +2,26 @@
 
 The n-th constraint is the segment S_n = {(x, x + 1/n) : -1/n <= x <= 1},
 parallel to y = x.  Dropping a perpendicular from a point of S_n to the
-real axis lands at 2x + 1/n, which gives an order-preserving bijection
-between S_n and an interval of the line.  The closed forms and the DP work
-on these feet; the integer pass in oracle._voronoi cuts with 2-D bisectors.
+real axis lands at its foot 2x + 1/n, which gives an order-preserving
+bijection between S_n and an interval of the line.  A codebook is stored
+as its integer feet over one denominator, and `point_numerators` is the
+one map from feet back to points; oracle._voronoi cuts with 2-D bisectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import lt
+
+_new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
+def _frozen(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class ConstraintPoint:
     """A point (x, x + 1/j) on the constraint segment S_j.
 
@@ -21,25 +29,40 @@ class ConstraintPoint:
     so y = x + 1/j cannot be violated by construction.
     """
 
-    j: int
-    x: Fraction
+    __slots__ = ("j", "x", "__weakref__")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not (isinstance(self.j, int) and isinstance(self.x, (int, Fraction))):
-            raise TypeError(f"need an int j and an int or Fraction x: {self!r}")
-        if self.j < 1:
-            raise ValueError(f"constraint index must be >= 1, got {self.j}")
-        if type(self.x) is not Fraction:
-            object.__setattr__(self, "x", Fraction(self.x))
-        num, den = self.x.numerator, self.x.denominator
-        if not (-den <= self.j * num and num <= den):  # -1/j <= x <= 1
-            raise ValueError(
-                f"abscissa {self.x} outside S_{self.j} (needs -1/{self.j} <= x <= 1)")
+    def __init__(self, j: int, x: Fraction | int):
+        if not (isinstance(j, int) and isinstance(x, (int, Fraction))):
+            raise TypeError(f"need an int j and an int or Fraction x: {j!r}, {x!r}")
+        if j < 1:
+            raise ValueError(f"constraint index must be >= 1, got {j}")
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator
+        if not (-den <= j * num and num <= den):  # -1/j <= x <= 1
+            raise ValueError(f"abscissa {x} outside S_{j} (needs -1/{j} <= x <= 1)")
+        _set(self, "j", j)
+        _set(self, "x", x)
 
     @property
     def y(self) -> Fraction:
         num, den = self.x.numerator, self.x.denominator
         return Fraction(num * self.j + den, den * self.j)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConstraintPoint):
+            return NotImplemented
+        return self.j == other.j and self.x == other.x
+
+    def __hash__(self):
+        return hash((self.j, self.x))
+
+    def __repr__(self):
+        return f"ConstraintPoint(j={self.j!r}, x={self.x!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return ConstraintPoint, (self.j, self.x)
 
 
 def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
@@ -47,17 +70,25 @@ def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
     return (x - p.x) ** 2 + p.y ** 2
 
 
-def foot_point(j: int, num: int, den: int) -> ConstraintPoint:
-    """Point of S_j whose perpendicular foot is num/den, den > 0, built with
-    one Fraction: x = (num*j - den) / (2*den*j); rejects feet outside the image."""
-    return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
+def point_numerators(n: int, den: int, feet) -> tuple[int, list[int], list[int]]:
+    """The points of S_n whose feet are t/den, t in feet, as numerators over
+    one denominator e: (e, abscissas, ordinates).  An abscissa is
+    (t*n - den) / (2*den*n), and e is the abscissas' lowest common
+    denominator that n divides, so y = x + 1/n is over e too."""
+    xs = [t * n - den for t in feet]
+    g = gcd(2 * den, *xs)
+    if g != 1:
+        xs = [u // g for u in xs]
+    q = 2 * den // g  # e / n
+    return q * n, xs, [u + q for u in xs]
 
 
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"foot must be an int or Fraction, got {t!r}")
-    return foot_point(j, t.numerator, t.denominator)
+    num, den = t.numerator, t.denominator  # x = (t - 1/j) / 2
+    return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
 
 
 def feasible_window(n: int) -> tuple[Fraction, Fraction]:
@@ -67,37 +98,83 @@ def feasible_window(n: int) -> tuple[Fraction, Fraction]:
     return (-Fraction(1, 2 * n), Fraction(1, 2) - Fraction(1, 2 * n))
 
 
-@dataclass(frozen=True)
+def feet_of(n: int, points) -> tuple[int, list[int]]:
+    """The feet of points on S_n, in their order, as integers over one
+    denominator: (den, feet)."""
+    xs = []
+    for p in points:
+        if p.j != n:
+            raise ValueError(f"point {p} is not on S_{n}")
+        xs.append(p.x)
+    b = lcm(*(x.denominator for x in xs))
+    return n * b, [(2 * n * x.numerator + x.denominator) * (b // x.denominator)
+                   for x in xs]
+
+
 class PointSet:
-    """An ordered codebook of n points on S_n, checked by integer comparisons:
-    x = num/den is feasible when -den <= 2n*num <= (n-1)*den, and abscissas
-    increase by cross-multiplication.  The points are copied to a tuple, so
-    no later change to the caller's sequence escapes the checks."""
+    """An ordered codebook of n points on S_n, stored as n and the feet of
+    its points over one denominator: `feet` holds strictly increasing ints
+    in [0, den] (so every abscissa lies in the feasible window) with no
+    factor common to all of them and den, so equal codebooks store equal
+    (n, den, feet).  PointSet(n, points) takes points on S_n and keeps
+    them; PointSet.from_feet(n, den, feet) takes the ints, and its points
+    are derived on demand.  Immutable; the points are kept in its instance
+    dict, like oracle's pass."""
 
-    n: int
-    points: tuple[ConstraintPoint, ...]
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not isinstance(self.n, int):
-            raise TypeError(f"n must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if len(self.points) != self.n:
-            raise ValueError(
-                f"expected {self.n} points, got {len(self.points)}")
-        n, pnum, pden = self.n, -1, 0  # no previous abscissa: -1/0 is below all
-        for p in self.points:
-            if p.j != n:
-                raise ValueError(f"point {p} is not on S_{n}")
-            num, den = p.x.numerator, p.x.denominator
-            if not -den <= 2 * n * num <= (n - 1) * den:
+    def __init__(self, n: int, points):
+        points = tuple(points)
+        self._store(n, *feet_of(n, points))
+        vars(self)["points"] = points
+
+    @classmethod
+    def from_feet(cls, n: int, den: int, feet) -> PointSet:
+        ps = _new(cls)
+        ps._store(n, den, feet)
+        return ps
+
+    def _store(self, n: int, den: int, feet) -> None:
+        if not isinstance(n, int):
+            raise TypeError(f"n must be an int, got {n!r}")
+        feet = tuple(feet)
+        g = gcd(den, *feet)  # a TypeError unless all are ints
+        if n < 1 or den < 1:
+            raise ValueError(f"n and den must be >= 1, got {n} and {den}")
+        if g != 1:
+            den, feet = den // g, tuple(t // g for t in feet)
+        if len(feet) != n:
+            raise ValueError(f"expected {n} points, got {len(feet)}")
+        if not all(map(lt, feet, feet[1:])):
+            raise ValueError("abscissas must be strictly increasing")
+        for t in (feet[0], feet[-1]):
+            if not 0 <= t <= den:
+                e, (a,), _ = point_numerators(n, den, (t,))
                 lo, hi = feasible_window(n)
                 raise ValueError(
-                    f"abscissa {p.x} outside feasible window [{lo}, {hi}]")
-            if num * pden <= pnum * den:
-                raise ValueError("abscissas must be strictly increasing")
-            pnum, pden = num, den
+                    f"abscissa {Fraction(a, e)} outside feasible window [{lo}, {hi}]")
+        vars(self).update(n=n, den=den, feet=feet)
+
+    @cached_property
+    def points(self) -> tuple[ConstraintPoint, ...]:
+        e, nums, _ = point_numerators(self.n, self.den, self.feet)
+        pts = []
+        for a in nums:  # on S_n, as every foot is in [0, 1]
+            pts.append(p := _new(ConstraintPoint))
+            _set(p, "j", self.n)
+            _set(p, "x", Fraction(a, e))
+        return tuple(pts)
 
     def abscissas(self) -> tuple[Fraction, ...]:
         return tuple(p.x for p in self.points)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return (self.n, self.den, self.feet) == (other.n, other.den, other.feet)
+
+    def __hash__(self):
+        return hash((self.n, self.den, self.feet))
+
+    def __repr__(self):
+        return f"PointSet.from_feet({self.n}, {self.den}, {self.feet})"

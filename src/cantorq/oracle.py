@@ -17,9 +17,9 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
-from .constraint import PointSet, foot_point
+from .constraint import ConstraintPoint, PointSet, feet_of, point_numerators
 from .measure import VARIANCE, centroid_numerators, moment_numerators
 
 
@@ -32,13 +32,12 @@ class EmptyCellError(OracleError):
 
 
 def _voronoi(n: int, points):
-    """Integer Voronoi cells of a codebook on S_n: (pts, e, a, r, cells, den).
+    """Integer Voronoi cells of a codebook on S_n: (e, a, r, cells, den).
 
-    pts is a PointSet's own tuple, or any other iterable of points on S_n,
-    nonempty, sorted by abscissa, none repeated.  Point i is (a_i, c_i)/e over
-    e = lcm(n, abscissa denominators), a common denominator of every x and of
-    every y = x + 1/n, so the ordinate numerator is c_i = a_i + e/n;
-    r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and (b, d)/e,
+    points is a PointSet, or any other iterable of points on S_n, nonempty,
+    none repeated, which is sorted by abscissa; either goes to the pass as
+    feet.  Point i is (a_i, c_i)/e over one denominator e, from
+    constraint.point_numerators, and r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and (b, d)/e,
     a < b, is the generic 2-D bisector crossing of the real line
     (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
     value is brought to one denominator den, so each cell's (mass, M1, M2) are
@@ -49,32 +48,36 @@ def _voronoi(n: int, points):
     if isinstance(points, PointSet):
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
-        # PointSet guarantees points on S_n with increasing abscissas
-        memo, pts = vars(points), points.points
+        # PointSet guarantees strictly increasing feet
+        memo, fden, feet = vars(points), points.den, points.feet
         if "_pass" in memo:
             return memo["_pass"]
     else:
-        memo, pts = {}, tuple(points)
-        if not pts:
+        memo, (fden, feet) = {}, feet_of(n, points)
+        if not feet:
             raise ValueError("need at least one point")
-        for p in pts:
-            if p.j != n:
-                raise ValueError(f"point {p} is not on S_{n}")
-        pts = tuple(sorted(pts, key=lambda p: p.x))
-        for p0, p1 in zip(pts, pts[1:]):
-            if p0.x == p1.x:
-                raise ValueError(f"duplicate abscissa {p1.x}")
-    e = lcm(n, *(p.x.denominator for p in pts))
-    a = [p.x.numerator * (e // p.x.denominator) for p in pts]
-    r = [u * u + (u + e // n) ** 2 for u in a]
+        feet.sort()
+        for t0, t1 in zip(feet, feet[1:]):
+            if t0 == t1:
+                e, (a,), _ = point_numerators(n, fden, (t1,))
+                raise ValueError(f"duplicate abscissa {Fraction(a, e)}")
+    e, a, c = point_numerators(n, fden, feet)
+    r = [u * u + v * v for u, v in zip(a, c)]
     cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
     ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
     den = lcm(*(d for *_, d in ends))
     vs = [(f * (k := den // d), m1 * k, m2 * k) for f, m1, m2, d in ends]
     cells = [(f1 - f0, g1 - g0, h1 - h0)
              for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
-    memo["_pass"] = result = pts, e, a, r, cells, den
+    memo["_pass"] = result = e, a, r, cells, den
     return result
+
+
+def _distortion(e: int, a, r, cells, den: int) -> Fraction:
+    """The sum of M2 - 2x M1 + (x**2 + y**2) mass over cells (mass, M1, M2)
+    / den, each for its point (x, y) = (a_i, c_i) / e, r_i = a_i**2 + c_i**2."""
+    return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
+                        for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
 
 
 def exact_distortion(n: int, points) -> Fraction:
@@ -85,9 +88,7 @@ def exact_distortion(n: int, points) -> Fraction:
     """
     if not isinstance(points, PointSet):
         points = dict.fromkeys(points)  # keeps the first of each, in order
-    _, e, a, r, cells, den = _voronoi(n, points)
-    return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
-                        for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
+    return _distortion(*_voronoi(n, points))
 
 
 def cell_measures(n: int, points) -> list[Fraction]:
@@ -100,15 +101,18 @@ def lloyd_step(n: int, points) -> PointSet:
     """One constrained Lloyd iteration: recenter each point at the pullback
     of its Voronoi cell's conditional mean.  Distortion never increases.
     A PointSet that no point leaves is returned itself, with its pass."""
-    pts, *_, cells, _ = _voronoi(n, points)
-    if len(pts) != n:
-        raise ValueError(f"need exactly {n} distinct points, got {len(pts)}")
-    new_pts = []
-    for p, (mass, m1, _) in zip(pts, cells):
+    e, a, _, cells, _ = _voronoi(n, points)
+    if len(a) != n:
+        raise ValueError(f"need exactly {n} distinct points, got {len(a)}")
+    feet = []  # each foot m1/mass in lowest terms
+    for u, (mass, m1, _) in zip(a, cells):
         if mass == 0:
-            raise EmptyCellError(f"cell of point {p} has zero measure")
-        new_pts.append(foot_point(n, m1, mass))
-    new = PointSet(n, new_pts)
+            raise EmptyCellError(
+                f"cell of point {ConstraintPoint(n, Fraction(u, e))} has zero measure")
+        g = gcd(m1, mass)
+        feet.append((m1 // g, mass // g))
+    fden = lcm(*(d for _, d in feet))
+    new = PointSet.from_feet(n, fden, [t * (fden // d) for t, d in feet])
     return points if new == points else new
 
 
@@ -160,7 +164,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     for g in range(2, max_n + 1):
         # the top layer is needed only at i = 0
         rows = m - g + 1 if g < max_n else 1
-        cnum, cden, carg = [0] * rows, [1] * rows, array("l", [0]) * rows
+        cnum, cden, carg = [0] * rows, [1] * rows, array("I", [0]) * rows
 
         def solve(ilo: int, ihi: int, jlo: int, jhi: int) -> None:
             if ilo > ihi:
@@ -190,13 +194,16 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
             edges.append(arg[g][edges[-1]])
         edges.append(m)
 
-        pts, rho_sum = [], Fraction(0)
-        for i, j in zip(edges, edges[1:]):
-            s1, s2, size = pref[j] - pref[i], pref2[j] - pref2[i], j - i
-            p = foot_point(n, s1, size * den0)
-            pts.append(p)
-            # sum of rho(t / den0, p) over the group's numerators t
-            rho_sum += (Fraction(s2, den0 * den0) - 2 * p.x * Fraction(s1, den0)
-                        + size * (p.x * p.x + p.y * p.y))
-        results.append((PointSet(n, pts), floor + rho_sum / m))
+        groups = [(pref[j] - pref[i], pref2[j] - pref2[i], j - i)
+                  for i, j in zip(edges, edges[1:])]
+        lcm_size = lcm(*(size for *_, size in groups))
+        ps = PointSet.from_feet(n, lcm_size * den0,
+                                [s1 * (lcm_size // size) for s1, _, size in groups])
+        # each group is a cell of the measure that puts each interval's mass
+        # at its centroid: (mass, M1, M2) = (size, s1 / den0, s2 / den0**2) / m;
+        # the floor adds the intervals' own variance
+        e, a, c = point_numerators(n, ps.den, ps.feet)
+        r = [u * u + v * v for u, v in zip(a, c)]
+        cells = [(size * den0 * den0, s1 * den0, s2) for s1, s2, size in groups]
+        results.append((ps, floor + _distortion(e, a, r, cells, den0 * den0 * m)))
     return results

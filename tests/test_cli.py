@@ -157,6 +157,31 @@ def test_verify_usage_error_when_level_above_cap(capsys):
     assert err.count("\n") == 2 and "Traceback" not in err
 
 
+def test_verify_refuses_work_above_the_budget_before_any_work(capsys, monkeypatch):
+    # the DP is replaced, so no argv here runs it: each level's largest
+    # max-n within the budget reaches it, and one more is refused first
+    calls = []
+    monkeypatch.setattr(cli.oracle, "dp_optimal_upto",
+                        lambda max_n, level: calls.append((max_n, level)) or [])
+    allowed = [(4, 10), (2, 12), (8, 10)]  # the benchmark's and the README's
+    for level in range(1, cli.MAX_ENUM_LEVEL + 1):
+        largest = min(2 ** level, cli.VERIFY_BUDGET // 2 ** level + 1)
+        allowed.append((largest, level))
+        if largest < 2 ** level:
+            argv = ["verify", "--max-n", str(largest + 1), "--level", str(level)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: (max-n - 1) * 2**level exceeds the work budget "
+                f"{cli.VERIFY_BUDGET}\n")
+    for max_n, level in allowed:
+        assert main(["verify", "--max-n", str(max_n), "--level", str(level)]) == 0
+    assert calls == allowed
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # unwrapped
+    assert f"(max-n - 1) * 2**level <= {cli.VERIFY_BUDGET}" in help_text
+
+
 def test_verify_parameters(capsys):
     _, rec = run_json(capsys, "verify", "--max-n", "2", "--level", "3")
     assert rec["parameters"] == {"format": "json", "level": 3, "max_n": 2}

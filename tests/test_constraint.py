@@ -8,7 +8,7 @@ from cantorq.constraint import (
     ConstraintPoint,
     PointSet,
     feasible_window,
-    foot_point,
+    point_numerators,
     rho,
     u_inverse,
 )
@@ -112,7 +112,8 @@ def test_round_trip_over_unit_interval(j):
     for i in range(50):
         p = u_inverse(j, F(i, 49))
         assert 2 * p.x + F(1, j) == F(i, 49)  # the foot of p
-        assert foot_point(j, i, 49) == p
+        e, (a,), (c,) = point_numerators(j, 49, [i])
+        assert (F(a, e), F(c, e)) == (p.x, p.y)
 
 
 @given(index_st, unit_rational_st, unit_rational_st)

@@ -1,5 +1,6 @@
 """The package namespace binds no function, class or constant, and importing
-the command-line module loads every module of the package."""
+the command-line module loads every module of the package and neither
+`dataclasses` nor `inspect`."""
 
 import json
 import os
@@ -18,6 +19,7 @@ print(json.dumps({
     "loaded": sorted(m for m in sys.modules if m.startswith("cantorq.")),
     "bound": sorted(k for k, v in vars(sys.modules["cantorq"]).items()
                     if not k.startswith("__") and not isinstance(v, types.ModuleType)),
+    "heavy": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
 }))
 """
 
@@ -31,3 +33,4 @@ def test_importing_the_cli_loads_every_module_and_binds_none_of_their_names():
     probe = json.loads(out)
     assert set(probe["loaded"]) >= {f"cantorq.{m}" for m in MODULES}
     assert probe["bound"] == []
+    assert probe["heavy"] == []
