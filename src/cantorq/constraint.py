@@ -10,29 +10,25 @@ one map from feet back to points; oracle._voronoi cuts with 2-D bisectors.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import lt
 
-_new, _set = object.__new__, object.__setattr__
 
-
-def _frozen(self, *_):
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class ConstraintPoint:
+class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
     """A point (x, x + 1/j) on the constraint segment S_j.
 
-    Only the index j and abscissa x are stored; the ordinate is implied,
-    so y = x + 1/j cannot be violated by construction.
+    Only the index j and abscissa x are stored, as the checked pair (j, x);
+    the ordinate is implied, so y = x + 1/j cannot be violated by
+    construction.  The constructor, _make, _replace, copy and pickle all
+    check the pair; a point compares, hashes, unpacks and orders as it.
     """
 
-    __slots__ = ("j", "x", "__weakref__")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ()
 
-    def __init__(self, j: int, x: Fraction | int):
+    def __new__(cls, j: int, x: Fraction | int):
         if not (isinstance(j, int) and isinstance(x, (int, Fraction))):
             raise TypeError(f"need an int j and an int or Fraction x: {j!r}, {x!r}")
         if j < 1:
@@ -42,27 +38,16 @@ class ConstraintPoint:
         num, den = x.numerator, x.denominator
         if not (-den <= j * num and num <= den):  # -1/j <= x <= 1
             raise ValueError(f"abscissa {x} outside S_{j} (needs -1/{j} <= x <= 1)")
-        _set(self, "j", j)
-        _set(self, "x", x)
+        return tuple.__new__(cls, (j, x))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def y(self) -> Fraction:
         num, den = self.x.numerator, self.x.denominator
         return Fraction(num * self.j + den, den * self.j)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConstraintPoint):
-            return NotImplemented
-        return self.j == other.j and self.x == other.x
-
-    def __hash__(self):
-        return hash((self.j, self.x))
-
-    def __repr__(self):
-        return f"ConstraintPoint(j={self.j!r}, x={self.x!r})"
-
-    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
-        return ConstraintPoint, (self.j, self.x)
 
 
 def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
@@ -118,10 +103,13 @@ class PointSet:
     factor common to all of them and den, so equal codebooks store equal
     (n, den, feet).  PointSet(n, points) takes points on S_n and keeps
     them; PointSet.from_feet(n, den, feet) takes the ints, and its points
-    are derived on demand.  Immutable; the points are kept in its instance
-    dict, like oracle's pass."""
+    are derived on demand.  Immutable; the points and oracle's pass are
+    kept in its instance dict, which copy and pickle leave behind."""
 
-    __setattr__ = __delattr__ = _frozen
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __init__(self, n: int, points):
         points = tuple(points)
@@ -130,7 +118,7 @@ class PointSet:
 
     @classmethod
     def from_feet(cls, n: int, den: int, feet) -> PointSet:
-        ps = _new(cls)
+        ps = object.__new__(cls)
         ps._store(n, den, feet)
         return ps
 
@@ -157,13 +145,9 @@ class PointSet:
 
     @cached_property
     def points(self) -> tuple[ConstraintPoint, ...]:
-        e, nums, _ = point_numerators(self.n, self.den, self.feet)
-        pts = []
-        for a in nums:  # on S_n, as every foot is in [0, 1]
-            pts.append(p := _new(ConstraintPoint))
-            _set(p, "j", self.n)
-            _set(p, "x", Fraction(a, e))
-        return tuple(pts)
+        # unchecked: each point is on S_n, as every foot is in [0, 1]
+        e, nums, _ = point_numerators(n := self.n, self.den, self.feet)
+        return tuple(tuple.__new__(ConstraintPoint, (n, Fraction(a, e))) for a in nums)
 
     def abscissas(self) -> tuple[Fraction, ...]:
         return tuple(p.x for p in self.points)
@@ -178,3 +162,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet.from_feet({self.n}, {self.den}, {self.feet})"
+
+    def __reduce__(self):  # copy and pickle through from_feet, without caches
+        return PointSet.from_feet, (self.n, self.den, self.feet)

@@ -155,6 +155,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     nums = centroid_numerators(level)
     pref = [0, *accumulate(nums)]
     pref2 = [0, *accumulate(v * v for v in nums)]
+    del nums  # only the prefix sums read it: free it before the layers
 
     # (pnum, pden): the best objective covering intervals i..m-1 with g - 1
     # groups; arg[g][i] is where the first of g groups from i ends

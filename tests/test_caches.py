@@ -1,3 +1,4 @@
+import sys
 import weakref
 from fractions import Fraction
 
@@ -18,12 +19,15 @@ def test_a_codebooks_pass_lives_and_dies_with_it():
     # the pass is kept on its PointSet, unseen by equality, hash and repr,
     # and nothing else holds a point of a codebook that is gone
     ps = closedform.build_alpha(12)
-    point = weakref.ref(ps.points[0])
+    codebook, point = weakref.ref(ps), ps.points[0]
+    held = sys.getrefcount(point)
     assert oracle.exact_distortion(12, ps) == closedform.quantization_error(12)
+    assert sys.getrefcount(point) == held
     fresh = closedform.build_alpha(12)
     assert (ps, hash(ps), repr(ps)) == (fresh, hash(fresh), repr(fresh))
     del ps, fresh
-    assert point() is None
+    assert codebook() is None
+    assert sys.getrefcount(point) == held - 1
 
 
 def test_returned_masses_do_not_alias_the_pass():

@@ -5,7 +5,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import weakref
 from datetime import timedelta
 from pathlib import Path
@@ -155,6 +158,39 @@ def test_verify_usage_error_when_level_above_cap(capsys):
     assert main(["verify", "--max-n", "1", "--level", str(10 ** 18)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "Traceback" not in err
+
+
+def test_verify_reports_an_oracle_failure_in_one_line(capsys, monkeypatch):
+    lloyd_step = cli.oracle.lloyd_step
+
+    def failing_at_3(n, points):
+        if n == 3:
+            raise cli.oracle.EmptyCellError("cell of point 2 has zero measure")
+        return lloyd_step(n, points)
+
+    monkeypatch.setattr(cli.oracle, "lloyd_step", failing_at_3)
+    assert main(["verify", "--max-n", "4", "--level", "6"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: oracle failure at n=3: cell of point 2 has zero measure\n")
+
+
+def _run_module(*argv):
+    """Run `python -m cantorq.cli argv` in a child process."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cantorq.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_the_module_exits_through_entry_with_mains_code(capsys):
+    usage = _run_module("verify", "--max-n", "5", "--level", "2")
+    assert (usage.returncode, usage.stdout, usage.stderr) == (
+        2, "", "error: max-n 5 exceeds 2**level = 4\n")
+    table = _run_module("error-table", "--max-n", "3")
+    assert main(["error-table", "--max-n", "3"]) == 0
+    assert (table.returncode, table.stdout, table.stderr) == (
+        0, capsys.readouterr().out, "")
 
 
 def test_verify_refuses_work_above_the_budget_before_any_work(capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,6 +39,8 @@ def test_constraint_point_rejects_off_segment():
         ConstraintPoint(3, F(9, 8))
     with pytest.raises(ValueError):
         ConstraintPoint(0, F(0))
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        feasible_window(0)
 
 
 @pytest.mark.parametrize("j", range(1, 65))
@@ -60,6 +66,9 @@ S2_PAIR = (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6)))
     pytest.param(lambda: ConstraintPoint(3, "1/3"), id="str-abscissa"),
     pytest.param(lambda: ConstraintPoint(2.0, F(0)), id="float-index"),
     pytest.param(lambda: ConstraintPoint(F(2), F(0)), id="fraction-index"),
+    pytest.param(lambda: ConstraintPoint._make((2, 0.1)), id="float-abscissa-make"),
+    pytest.param(lambda: ConstraintPoint(2, F(0))._replace(x=0.1),
+                 id="float-abscissa-replace"),
     pytest.param(lambda: u_inverse(2, 0.3), id="float-foot"),
     pytest.param(lambda: u_inverse(2.0, F(1, 3)), id="float-index-foot"),
     pytest.param(lambda: PointSet(2.0, S2_PAIR), id="float-n"),
@@ -68,6 +77,55 @@ def test_a_float_is_refused_never_made_a_rational(make):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError):
         make()
+
+
+def test_a_point_is_its_checked_pair():
+    p = ConstraintPoint(2, F(-1, 4))
+    assert repr(p) == "ConstraintPoint(j=2, x=Fraction(-1, 4))"
+    assert p == (2, F(-1, 4)) and hash(p) == hash((2, F(-1, 4)))
+    j, x = p
+    assert (j, x) == (p.j, p.x)
+    assert sorted([ConstraintPoint(3, 0), p, ConstraintPoint(2, F(1, 8))]) == [
+        (2, F(-1, 4)), (2, F(1, 8)), (3, 0)]
+    assert p._replace(x=F(1, 4)) == ConstraintPoint._make([2, F(1, 4)])
+    assert type(ConstraintPoint._make((3, 1)).x) is Fraction
+    # _make and _replace go through the constructor, messages and all
+    for bad, call in [((2.0, F(0)), lambda: ConstraintPoint._make((2.0, F(0)))),
+                      ((0, F(0)), lambda: p._replace(j=0)),
+                      ((2, F(3, 2)), lambda: ConstraintPoint._make((2, F(3, 2)))),
+                      ((1, F(-2)), lambda: p._replace(j=1, x=F(-2)))]:
+        with pytest.raises((TypeError, ValueError)) as expected:
+            ConstraintPoint(*bad)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            call()
+    with pytest.raises(TypeError):
+        ConstraintPoint._make((2,))
+    with pytest.raises(AttributeError):
+        p.x = F(0)
+    with pytest.raises(AttributeError):
+        p.z = 0
+    with pytest.raises(TypeError):
+        weakref.ref(p)
+
+
+def test_copies_and_pickles_of_a_point_go_through_its_checks(monkeypatch):
+    p = ConstraintPoint(2, F(-1, 4))
+    seen = []
+    checked = ConstraintPoint.__new__
+
+    def spy(cls, *args):
+        seen.append(args)
+        return checked(cls, *args)
+
+    monkeypatch.setattr(ConstraintPoint, "__new__", spy)
+    twins = [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
+             pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))]
+    assert twins == [p] * 4 and seen == [(2, F(-1, 4))] * 4
+    assert all(type(twin) is ConstraintPoint for twin in twins)
+    # the reconstructor a pickle names refuses a tampered pair
+    rebuild, args = p.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[:2]
+    with pytest.raises(ValueError, match="outside S_2"):
+        rebuild(args[0], 2, F(2))
 
 
 @given(index_st, unit_rational_st)

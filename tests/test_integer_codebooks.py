@@ -110,3 +110,11 @@ def test_codebooks_and_points_are_immutable_values():
         for twin in (copy.copy(value), copy.deepcopy(value),
                      pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
+    # an evaluated codebook pickles to the bytes of a fresh one, and its
+    # copies hold neither its points nor its pass
+    oracle.exact_distortion(3, alpha)
+    assert {"points", "_pass"} <= vars(alpha).keys()
+    assert pickle.dumps(alpha) == pickle.dumps(build_alpha(3))
+    for twin in (copy.copy(alpha), copy.deepcopy(alpha),
+                 pickle.loads(pickle.dumps(alpha))):
+        assert vars(twin).keys() == {"n", "den", "feet"}

@@ -53,6 +53,8 @@ def test_apply_map_rejects_bad_letter():
         for call in (lambda: apply_map(word, F(0)), lambda: centroid(word)):
             with pytest.raises(ValueError, match="^word letters must be 1 or 2, got "):
                 call()
+    with pytest.raises(ValueError, match="^word length must be >= 0$"):
+        words(-1)
 
 
 def _between(a, b):

@@ -290,6 +290,8 @@ def test_dp_examples():
 def test_dp_rejects_too_many_points():
     with pytest.raises(ValueError):
         dp_optimal_upto(5, 2)[-1]
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        dp_optimal_upto(0, 3)
 
 
 @pytest.mark.parametrize("max_n, level", [(1, -1), (1, 0), (2, 0)])
@@ -297,6 +299,8 @@ def test_dp_rejects_levels_below_one(max_n, level):
     # refused before 2**level, which is a float for a negative level
     with pytest.raises(ValueError, match="^level must be >= 1$"):
         dp_optimal_upto(max_n, level)
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        centroid_numerators(level)  # the DP's numerators check the same
 
 
 @pytest.mark.parametrize("n", range(1, 13))
