@@ -166,11 +166,9 @@ def cmd_optimal_set(args) -> int:
 
 
 def cmd_error_table(args) -> int:
-    rows = []
-    for n in range(1, args.max_n + 1):
-        v = closedform.quantization_error(n)
-        rows.append([n, fmt_rational(v), fmt_float(float(v)),
-                     fmt_rational(v - closedform.V_INFINITY)])
+    rows = [[n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
+            for n in range(1, args.max_n + 1)  # pairs in lowest terms: no gcd
+            for v, e, _ in [closedform.error_pairs(n)]]
     _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
     return 0
 
@@ -211,7 +209,7 @@ def cmd_asymptotics(args) -> int:
     else:
         header = ["level", "n", "v_exact", "excess", "dim_estimate",
                   "coeff_estimate"]
-        rows = [[level, s.n, fmt_rational(s.v_n), fmt_rational(s.excess),
+        rows = [[level, s.n, "%d/%d" % s.v_n, "%d/%d" % s.excess,
                  fmt_float(s.dim_estimate), fmt_float(s.coeff_estimate)]
                 for level, s in samples]
     _emit(args, header, rows)

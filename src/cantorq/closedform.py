@@ -19,13 +19,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import Iterable, Iterator
 
 from .constraint import PointSet, rho, u_inverse
 from .measure import Word, centroid, centroid_numerators, words
-
-V_INFINITY = Fraction(3, 16)
 
 
 def level_of(n: int) -> int:
@@ -117,27 +115,40 @@ def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
     return total
 
 
-def _residual(n: int) -> tuple[int, int]:
-    """R(n) = U_n / 2 = (17 * 2**l - 8n) / (144 * 18**l) as an integer pair."""
-    l = level_of(n)
-    return 17 * 2 ** l - 8 * n, 144 * 18 ** l
-
-
 def unconstrained_error(n: int) -> Fraction:
-    """The unconstrained optimal n-means error U_n = 2 R(n)."""
-    num, den = _residual(n)
-    return Fraction(2 * num, den)
+    """U_n, the unconstrained optimal n-means error of Graf & Luschgy."""
+    l = level_of(n)
+    return Fraction(17 * 2 ** l - 8 * n, 72 * 18 ** l)
 
 
-def excess(n: int) -> Fraction:
-    """V_n - 3/16 = R(n) + (n+1)/(2n**2), R(n) in (0, 9**-l / 16], as the sum
-    of two Fractions: no gcd sees the full 144 * 18**l * n**2 denominator."""
-    return Fraction(*_residual(n)) + Fraction(n + 1, 2 * n * n)
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    """p/q, p, q > 0, in lowest terms if 2 and 3 are the only primes that
+    can divide both: the common 2s are shifted out, the common 3s divided
+    out.  That holds for V_n - 3/16 = N / (144 * 18**l * n**2), as any other
+    prime of the denominator divides n, hence not N's n-free term
+    72 * 18**l (n + 1); and for V_n = (16p + 3q) / (16q), p/q reduced, as no
+    odd prime of q divides 16p.  So no general gcd is needed."""
+    twos = min((p & -p).bit_length(), (q & -q).bit_length()) - 1
+    p, q, f = p >> twos, q >> twos, 3
+    while not (p % f or q % f):  # the common 3s by 3, 9, 81, ...
+        p, q, f = p // f, q // f, f * f
+    while f > 3:  # then by the same powers back down
+        f = isqrt(f)
+        if not (p % f or q % f):
+            p, q = p // f, q // f
+    return p, q
+
+
+def error_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """V_n, V_n - 3/16 and n**2 (V_n - 3/16) as integer pairs (numerator,
+    denominator), the first two in lowest terms, from one build of the excess
+    N / (144 * 18**l * n**2), N = (17 * 2**l - 8n) n**2 + 72 * 18**l (n + 1)."""
+    den = 144 * 18 ** (l := level_of(n))
+    big = (17 * 2 ** l - 8 * n) * n * n + den // 2 * (n + 1)
+    p, q = _lowest_terms(big, den * n * n)
+    return _lowest_terms(16 * p + 3 * q, 16 * q), (p, q), (big, den)
 
 
 def quantization_error(n: int) -> Fraction:
-    """Exact V_n = 3/16 + (n+1)/(2n**2) + R(n) as one integer pair over
-    144 * 18**l * n**2, reduced once."""
-    num, den = _residual(n)
-    nn = n * n
-    return Fraction((3 * den // 16 + num) * nn + den // 2 * (n + 1), den * nn)
+    """Exact V_n = 3/16 + U_n/2 + (n+1)/(2n**2), from error_pairs."""
+    return Fraction(*error_pairs(n)[0])

@@ -44,6 +44,9 @@ class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    def __reduce__(self):  # every pickle protocol, 0 and 1 too
+        return ConstraintPoint, (self.j, self.x)
+
     @property
     def y(self) -> Fraction:
         num, den = self.x.numerator, self.x.denominator

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import weakref
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,11 @@ GOLDEN = [
      "8e0cc8194db23ae0f7c322d0149a8af67f36db3abcdb34bf833c76a2892b4bd0"),
     ("verify --max-n 8 --level 6 --format csv", 0,
      "548cc9cee254f6db16e71861a477d6c3f67f4419bb21ef0f4393b557ee940049"),
+    # the largest error-table records, at the row cap
+    ("error-table --max-n 65536", 0,
+     "cad99da7d0f6699800ce8b34647641dbd42e3940a8ea522ef9803f2ebc009cf7"),
+    ("error-table --max-n 65536 --format csv", 0,
+     "ea2fe234add95f15355f4921ebbf4de245e8eff0a2e902866f36b7050f2a9747"),
 ]
 
 
@@ -491,17 +497,35 @@ def test_emit_writes_each_row_before_pulling_the_next(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
-    error = closedform.quantization_error
+    error = closedform.error_pairs
 
     def failing(n):
         if n == 5:
             raise RuntimeError("at max-n")
         return error(n)
 
-    monkeypatch.setattr(closedform, "quantization_error", failing)
+    monkeypatch.setattr(closedform, "error_pairs", failing)
     with pytest.raises(RuntimeError, match="at max-n"):
         main(["error-table", "--max-n", "5", "--format", fmt])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "error-table --max-n 50", "error-table --max-n 50 --format csv",
+    "asymptotics --kind dimension --max-level 40",
+    "asymptotics --kind coefficient --max-level 40 --format csv"])
+def test_error_rows_build_no_fraction(capsys, monkeypatch, argv):
+    # the rows are formatted, floated and logged from integer pairs
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                        made.append(args) or new(cls, *args, **kwargs))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and up
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: made.append(args) or new(cls, *args)))
+    assert main(argv.split()) == 0
+    assert made == []
+    assert capsys.readouterr().out.count("/") >= 80  # two "p/q" a row
 
 
 @pytest.mark.parametrize("split_set", ["canonical", "all"])

@@ -5,13 +5,12 @@ from math import comb
 import pytest
 
 from cantorq.closedform import (
-    V_INFINITY,
     a_term,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
     count_optimal_sets,
-    excess,
+    error_pairs,
     level_of,
     quantization_error,
     unconstrained_error,
@@ -206,9 +205,10 @@ def test_fast_closed_form_matches_enumeration(n):
 def _off_dyadic_ns():
     """Seeded n up to level 1100 off the three dyadic points per level:
     one random and one random odd n per level, every 3**k, every 5 * 2**j,
-    and at l = 3j an n = 2**j * odd, where both summands of excess have
-    2**(2j+1) in their denominators and the sum cancels a power of 2.
-    Together they take every branch of Fraction's addition."""
+    and at l = 3j an n = 2**j * odd.  They vary the 2s and 3s that
+    error_pairs divides out of the excess N / (144 * 18**l * n**2): every
+    3**k leaves 3**(2k) or more common to both, and at 2**j * odd the two
+    terms of N have 2**(3j+3) each, so their sum has more."""
     rng = random.Random(20240101)
     ns = {3 ** k for k in range(1, 1100) if 3 ** k < 2 ** 1101}
     ns |= {5 * 2 ** j for j in range(1099)}
@@ -222,7 +222,7 @@ def _off_dyadic_ns():
 
 
 # every n through 2**12, both ends of each level up to l = 1100, and
-# seeded n in between: excess and quantization_error check each other
+# seeded n in between: error_pairs against the textbook U_n and the expansion
 EXPANSION_NS = {
     "small": range(1, 2 ** 12 + 1),
     "dyadic": sorted({m for l in range(1101)
@@ -249,15 +249,31 @@ def test_integer_form_matches_decomposition(ns):
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
-def test_excess_is_error_minus_limit(ns):
+def test_pairs_are_in_lowest_terms(ns):
+    # V_n - 3/16 = U_n / 2 + (n+1) / (2n**2) from the textbook U_n, and V_n
     for n in ns:
-        assert excess(n) == quantization_error(n) - V_INFINITY
+        f = _graf_luschgy(n) / 2 + F(n + 1, 2 * n * n)
+        g = f + F(3, 16)
+        v, e, _ = error_pairs(n)
+        assert v == (g.numerator, g.denominator)
+        assert e == (f.numerator, f.denominator)
+
+
+@pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
+def test_excess_is_error_minus_limit(ns):
+    # V_n - 3/16 = p/q and n**2 p/q = N / (144 * 18**l), across in integers
+    for n in ns:
+        v, (p, q), (num, den) = error_pairs(n)
+        assert v[0] * 16 * q == (16 * p + 3 * q) * v[1]
+        assert num * q == n * n * p * den and den == 144 * 18 ** level_of(n)
+        assert quantization_error(n) == F(*v)
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
 def test_excess_expansion(ns):
     for n in ns:
-        assert excess(n) == F(1, 2 * n) + F(1, 2 * n * n) + _remainder(n)
+        p, q = error_pairs(n)[1]
+        assert F(p, q) == F(1, 2 * n) + F(1, 2 * n * n) + _remainder(n)
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)

@@ -118,14 +118,19 @@ def test_copies_and_pickles_of_a_point_go_through_its_checks(monkeypatch):
         return checked(cls, *args)
 
     monkeypatch.setattr(ConstraintPoint, "__new__", spy)
-    twins = [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
-             pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))]
-    assert twins == [p] * 4 and seen == [(2, F(-1, 4))] * 4
+    twins = [copy.copy(p), copy.deepcopy(p)]
+    twins += [pickle.loads(pickle.dumps(p, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert pickle.HIGHEST_PROTOCOL >= 5
+    assert twins == [p] * len(twins) and seen == [(2, F(-1, 4))] * len(twins)
     assert all(type(twin) is ConstraintPoint for twin in twins)
-    # the reconstructor a pickle names refuses a tampered pair
-    rebuild, args = p.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[:2]
+    # a protocol-0 pickle with x's numerator edited to 8, so x = 8/4 = 2
+    # (x is "-1/4" or the pair -1, 4, as the Python version pickles it),
+    # is refused, not rebuilt
+    text = pickle.dumps(p, 0)
+    assert text.count(b"-1") == 1
     with pytest.raises(ValueError, match="outside S_2"):
-        rebuild(args[0], 2, F(2))
+        pickle.loads(text.replace(b"-1", b"8"))
 
 
 @given(index_st, unit_rational_st)
