@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 from typing import Iterable, Iterator
 
 from .constraint import PointSet, rho, u_inverse
@@ -129,13 +129,9 @@ def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     72 * 18**l (n + 1); and for V_n = (16p + 3q) / (16q), p/q reduced, as no
     odd prime of q divides 16p.  So no general gcd is needed."""
     twos = min((p & -p).bit_length(), (q & -q).bit_length()) - 1
-    p, q, f = p >> twos, q >> twos, 3
-    while not (p % f or q % f):  # the common 3s by 3, 9, 81, ...
-        p, q, f = p // f, q // f, f * f
-    while f > 3:  # then by the same powers back down
-        f = isqrt(f)
-        if not (p % f or q % f):
-            p, q = p // f, q // f
+    p, q = p >> twos, q >> twos
+    while not (p % 3 or q % 3):
+        p, q = p // 3, q // 3
     return p, q
 
 
