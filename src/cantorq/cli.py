@@ -12,7 +12,6 @@ json.dumps(record, sort_keys=True, indent=2).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -131,9 +130,11 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
         return
     text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     write(f"# command={args.command} {text}\r\n")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+    # no field needs quoting: each is an int, a bool, a "p/q", a float, a
+    # header name or checked split words over {1, 2} joined by "+"
+    write(",".join(header) + "\r\n")
+    for row in rows:
+        write(",".join(map(str, row)) + "\r\n")
 
 
 def cmd_optimal_set(args) -> int:

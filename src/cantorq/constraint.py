@@ -152,9 +152,6 @@ class PointSet:
         e, nums, _ = point_numerators(n := self.n, self.den, self.feet)
         return tuple(tuple.__new__(ConstraintPoint, (n, Fraction(a, e))) for a in nums)
 
-    def abscissas(self) -> tuple[Fraction, ...]:
-        return tuple(p.x for p in self.points)
-
     def __eq__(self, other):
         if not isinstance(other, PointSet):
             return NotImplemented

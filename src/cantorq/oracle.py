@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .constraint import ConstraintPoint, PointSet, feet_of, point_numerators
-from .measure import VARIANCE, centroid_numerators, moment_numerators
+from .measure import centroid_numerators, moment_numerators
 
 
 class OracleError(Exception):
@@ -187,7 +187,6 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         arg.append(carg)
 
     den0 = 2 * 3 ** level
-    floor = VARIANCE / 9 ** level
     results = []
     for n in range(1, max_n + 1):
         edges = [0]
@@ -200,11 +199,12 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         lcm_size = lcm(*(size for *_, size in groups))
         ps = PointSet.from_feet(n, lcm_size * den0,
                                 [s1 * (lcm_size // size) for s1, _, size in groups])
-        # each group is a cell of the measure that puts each interval's mass
-        # at its centroid: (mass, M1, M2) = (size, s1 / den0, s2 / den0**2) / m;
-        # the floor adds the intervals' own variance
+        # each group is a cell: (mass, M1, M2) = (size, s1 / den0, s2 / den0**2
+        # + size / (2 den0**2)) / m, as each interval adds its own variance,
+        # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square
         e, a, c = point_numerators(n, ps.den, ps.feet)
         r = [u * u + v * v for u, v in zip(a, c)]
-        cells = [(size * den0 * den0, s1 * den0, s2) for s1, s2, size in groups]
-        results.append((ps, floor + _distortion(e, a, r, cells, den0 * den0 * m)))
+        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 2 * s2 + size)
+                 for s1, s2, size in groups]
+        results.append((ps, _distortion(e, a, r, cells, 2 * den0 * den0 * m)))
     return results

@@ -339,6 +339,9 @@ GOLDEN = [
      "cad99da7d0f6699800ce8b34647641dbd42e3940a8ea522ef9803f2ebc009cf7"),
     ("error-table --max-n 65536 --format csv", 0,
      "ea2fe234add95f15355f4921ebbf4de245e8eff0a2e902866f36b7050f2a9747"),
+    # the largest point-row CSV record, 12.5 MB
+    ("optimal-set --n 65536 --format csv", 0,
+     "ca97cbd82f17238a805ffc93c62c195a3c9589f7fd19deca1f51897c1e198ddf"),
 ]
 
 

@@ -51,21 +51,23 @@ def test_admissible_split_sets_enumeration(n):
 
 
 def test_build_alpha_two_points():
-    assert build_alpha(2).abscissas() == (F(-1, 6), F(1, 6))
+    assert tuple(p.x for p in build_alpha(2).points) == (F(-1, 6), F(1, 6))
 
 
 def test_build_alpha_four_points():
     # pullbacks of the level-2 centroids 1/18, 5/18, 13/18, 17/18
-    assert build_alpha(4).abscissas() == (F(-7, 72), F(1, 72), F(17, 72), F(25, 72))
+    assert tuple(p.x for p in build_alpha(4).points) == (
+        F(-7, 72), F(1, 72), F(17, 72), F(25, 72))
 
 
 def test_build_alpha_split_right_parent():
-    assert build_alpha(3, {"2"}).abscissas() == (F(-1, 12), F(7, 36), F(11, 36))
+    assert tuple(p.x for p in build_alpha(3, {"2"}).points) == (
+        F(-1, 12), F(7, 36), F(11, 36))
 
 
 def test_build_alpha_one_point():
     alpha = build_alpha(1)
-    assert alpha.abscissas() == (F(-1, 4),)
+    assert tuple(p.x for p in alpha.points) == (F(-1, 4),)
     assert alpha.points[0].y == F(3, 4)
 
 
@@ -106,7 +108,7 @@ def test_build_alpha_matches_word_by_word_construction(n):
                 for c in (["1", "2"] if w in ss else [""])]
         expected = sorted(u_inverse(n, t).x for t in feet)
         alpha = build_alpha(n, ss)
-        assert alpha.abscissas() == tuple(expected)
+        assert tuple(p.x for p in alpha.points) == tuple(expected)
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -120,8 +122,8 @@ def test_build_alpha_feet_are_centroids(n):
 @pytest.mark.parametrize("n", range(1, 33))
 def test_build_alpha_window_compliance(n):
     lo, hi = feasible_window(n)
-    for x in build_alpha(n).abscissas():
-        assert lo <= x <= hi
+    for p in build_alpha(n).points:
+        assert lo <= p.x <= hi
 
 
 def test_a_term_two_points():

@@ -78,7 +78,7 @@ def test_large_codebooks_match_the_fraction_reference(n):
 def test_feet_outside_the_unit_interval_or_out_of_order_are_refused():
     assert PointSet.from_feet(2, 6, [1, 5]) == build_alpha(2)
     assert PointSet.from_feet(2, 12, (2, 10)) == build_alpha(2)  # reduced
-    assert PointSet.from_feet(2, 1, (0, 1)).abscissas() == (F(-1, 4), F(1, 4))
+    assert tuple(p.x for p in PointSet.from_feet(2, 1, (0, 1)).points) == (F(-1, 4), F(1, 4))
     for den, feet, message in (
             (6, (-1, 5), r"^abscissa -1/3 outside feasible window \[-1/4, 1/4\]$"),
             (6, (1, 7), r"^abscissa 1/3 outside feasible window \[-1/4, 1/4\]$"),

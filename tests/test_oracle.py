@@ -154,8 +154,8 @@ def test_integer_pass_matches_per_cut_path_on_former_faults():
     feet = N16_FEET
     for _ in range(4):
         _assert_matches_per_cut(16, feet)
-        feet = [2 * x + F(1, 16)
-                for x in lloyd_step(16, [u_inverse(16, t) for t in feet]).abscissas()]
+        feet = [2 * p.x + F(1, 16)
+                for p in lloyd_step(16, [u_inverse(16, t) for t in feet]).points]
 
 
 def test_one_pass_per_codebook(monkeypatch):
@@ -234,13 +234,13 @@ def test_one_intake_for_the_three_evaluators(evaluate):
 @pytest.mark.parametrize("n", range(1, 33))
 def test_lloyd_fixed_point_at_optimum(n):
     alpha = build_alpha(n)
-    assert lloyd_step(n, alpha).abscissas() == alpha.abscissas()
+    assert lloyd_step(n, alpha) == alpha
 
 
 def test_lloyd_one_point_converges_in_one_step():
     for t in (F(0), F(1, 3), F(9, 10)):
         start = [u_inverse(1, t)]
-        assert lloyd_step(1, start).abscissas() == (F(-1, 4),)
+        assert tuple(p.x for p in lloyd_step(1, start).points) == (F(-1, 4),)
 
 
 def test_lloyd_two_point_iteration_reaches_optimum():
@@ -249,10 +249,10 @@ def test_lloyd_two_point_iteration_reaches_optimum():
         current = [ConstraintPoint(2, start), ConstraintPoint(2, F(0))]
         for _ in range(50):
             stepped = lloyd_step(2, current)
-            if stepped.abscissas() == tuple(p.x for p in current):
+            if stepped.points == tuple(current):
                 break
             current = stepped.points
-        assert stepped.abscissas() == build_alpha(2).abscissas()
+        assert stepped == build_alpha(2)
 
 
 def _random_start(rng, n):
@@ -281,10 +281,10 @@ def test_dp_examples():
     assert v1 == F(5, 4)
     ps2, v2 = dp_optimal_upto(2, 5)[-1]
     assert v2 == F(41, 72)
-    assert ps2.abscissas() == build_alpha(2).abscissas()
+    assert ps2 == build_alpha(2)
     ps3, v3 = dp_optimal_upto(3, 5)[-1]
     assert v3 == F(67, 162)
-    assert ps3.abscissas() == build_alpha(3).abscissas()
+    assert ps3 == build_alpha(3)
 
 
 def test_dp_rejects_too_many_points():
@@ -307,7 +307,7 @@ def test_dp_rejects_levels_below_one(max_n, level):
 def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal_upto(n, 8)[-1]
     assert v == quantization_error(n)
-    assert set(ps.abscissas()) == set(build_alpha(n).abscissas())
+    assert ps == build_alpha(n)
     assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
 
 
@@ -367,7 +367,7 @@ def test_dp_keeps_two_layers_of_values():
 def test_voronoi_measures_preserved(n):
     alpha = build_alpha(n)
     constrained = cell_measures(n, alpha)
-    means = [2 * x + F(1, n) for x in alpha.abscissas()]  # the feet
+    means = [2 * p.x + F(1, n) for p in alpha.points]  # the feet
     midpoints = [(means[i] + means[i + 1]) / 2 for i in range(len(means) - 1)]
     ends = [partial_moments(c)[0] for c in (F(0), *midpoints, F(1))]
     unconstrained = [b - a for a, b in zip(ends, ends[1:])]
