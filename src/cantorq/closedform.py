@@ -121,28 +121,38 @@ def unconstrained_error(n: int) -> Fraction:
     return Fraction(17 * 2 ** l - 8 * n, 72 * 18 ** l)
 
 
-def _lowest_terms(p: int, q: int) -> tuple[int, int]:
-    """p/q, p, q > 0, in lowest terms if 2 and 3 are the only primes that
-    can divide both: the common 2s are shifted out, the common 3s divided
-    out.  That holds for V_n - 3/16 = N / (144 * 18**l * n**2), as any other
-    prime of the denominator divides n, hence not N's n-free term
-    72 * 18**l (n + 1); and for V_n = (16p + 3q) / (16q), p/q reduced, as no
-    odd prime of q divides 16p.  So no general gcd is needed."""
-    twos = min((p & -p).bit_length(), (q & -q).bit_length()) - 1
-    p, q = p >> twos, q >> twos
-    while not (p % 3 or q % 3):
-        p, q = p // 3, q // 3
-    return p, q
-
-
 def error_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """V_n, V_n - 3/16 and n**2 (V_n - 3/16) as integer pairs (numerator,
     denominator), the first two in lowest terms, from one build of the excess
-    N / (144 * 18**l * n**2), N = (17 * 2**l - 8n) n**2 + 72 * 18**l (n + 1)."""
-    den = 144 * 18 ** (l := level_of(n))
-    big = (17 * 2 ** l - 8 * n) * n * n + den // 2 * (n + 1)
-    p, q = _lowest_terms(big, den * n * n)
-    return _lowest_terms(16 * p + 3 * q, 16 * q), (p, q), (big, den)
+    N / (144 * 18**l * n**2), N = r n**2 + 72 * 18**l (n + 1), r = 17 * 2**l
+    - 8n.  For n = 2**a 3**b w, w prime to 6, the denominator is
+    2**(l+4+2a) 3**(2l+2+2b) w**2; a prime of w divides N's first term, not
+    its n-free one, which has the factor n + 1.  So N shares min(v2(N),
+    l+4+2a) 2s with it and, as N = r n**2 (mod 3**(2l+2)), j = v3(r) + 2b 3s:
+    j < 2l + 2 for l >= 18, as 3**j <= r n**2 < 17 * 2**l * 4**(l+1) <
+    9**(l+1), and for every n < 2**18 but 1, whose N = 9 * 17 has j = 2 3s
+    too (the tests check both).  N / 3**j is built from 3**(2l+2-j), each
+    product by n or 18**l one by n's odd part and a shift.  V_n = (16p +
+    3q) / (16q), p/q the excess, shares only 2s: no odd prime of q divides
+    16p."""
+    l = level_of(n)
+    a = (n & -n).bit_length() - 1
+    odd = w = n >> a
+    j = 0
+    while w % 3 == 0:
+        w, j = w // 3, j + 2
+    r = (17 << l) - 8 * n
+    while r % 3 == 0:
+        r, j = r // 3, j + 1
+    k, three = 3 ** (2 * l + 2 - j), 3 ** j
+    ko, e2 = k * odd, l + 4 + 2 * a  # e2: the 2s of the denominator
+    big = (r * w * w << 2 * a) + ((ko << a) + k << l + 3)  # N / 3**j
+    twos = min((big & -big).bit_length() - 1, e2)
+    p, q = big >> twos, ko * odd << e2 - twos
+    s = 16 * p + 3 * q
+    twos = min((s & -s).bit_length() - 1, e2 + 4 - twos)
+    return ((s >> twos, q << 4 >> twos), (p, q),
+            (big * three, k * three << l + 4))
 
 
 def quantization_error(n: int) -> Fraction:

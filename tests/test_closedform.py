@@ -206,13 +206,20 @@ def test_fast_closed_form_matches_enumeration(n):
 
 def _off_dyadic_ns():
     """Seeded n up to level 1100 off the three dyadic points per level:
-    one random and one random odd n per level, every 3**k, every 5 * 2**j,
-    and at l = 3j an n = 2**j * odd.  They vary the 2s and 3s that
-    error_pairs divides out of the excess N / (144 * 18**l * n**2): every
-    3**k leaves 3**(2k) or more common to both, and at 2**j * odd the two
-    terms of N have 2**(3j+3) each, so their sum has more."""
+    one random and one random odd n per level, every 3**k, 6**k and
+    5 * 2**j, at l = 3j an n = 2**j * odd, and at l = 5i an n =
+    2**(l//3) * 3**i * w for a seeded w.  They vary the 2s and 3s that
+    error_pairs counts in the excess N / (144 * 18**l * n**2): every 3**k
+    leaves 3**(2k) or more common to both; at 2**j * odd the two terms of N
+    have 2**(3j+3) each, so their sum has more; and 6**k and the n at
+    l = 5i make n's 2s and 3s large at once.  At l = 3j there is also the
+    n = 2**j * o, if o odd is in range, for which N has more 2s than its
+    denominator, so the excess has an odd denominator: N / 2**(l+3) =
+    (17 * 2**(2j-3) - o) o**2 + 9**(l+1) (n + 1) is 0 mod 2**(2j+2) then,
+    and as its derivative in o is odd, o is found one bit at a time."""
     rng = random.Random(20240101)
     ns = {3 ** k for k in range(1, 1100) if 3 ** k < 2 ** 1101}
+    ns |= {6 ** k for k in range(1, 1100) if 6 ** k < 2 ** 1101}
     ns |= {5 * 2 ** j for j in range(1099)}
     for l in range(1, 1101):
         ns.add(rng.randrange(2 ** l, 2 ** (l + 1)))
@@ -220,7 +227,45 @@ def _off_dyadic_ns():
         if l % 3 == 0:
             j = l // 3
             ns.add((rng.randrange(2 ** l, 2 ** (l + 1)) >> j | 1) << j)
+    for l in range(5, 1101, 5):
+        m = 2 ** (l // 3) * 3 ** (l // 5)
+        ns.add(m * rng.randrange(-(-2 ** l // m), 2 ** (l + 1) // m))
+    for j in range(2, 367):
+        nines, o = pow(9, 3 * j + 1, 4 << 2 * j), 1
+        for bit in range(1, 2 * j + 2):
+            # N / 2**(l+3) mod 2**(2j+2), which is 0 mod 2**bit
+            rest = ((17 << 2 * j - 3) - o) * o * o + nines * ((o << j) + 1)
+            o += (rest >> bit & 1) << bit
+        if o >> 2 * j == 1:
+            ns.add(o << j)
     return sorted(ns)
+
+
+def _v3(m):
+    v = 0
+    while m % 3 == 0:
+        m, v = m // 3, v + 1
+    return v
+
+
+def test_common_threes_need_no_scan_of_the_excess():
+    # error_pairs takes j = v3(r) + 2 v3(n), r = 17 * 2**l - 8n, for the 3s
+    # the excess N shares with its denominator, which holds while j < 2l + 2;
+    # its docstring bounds j for l >= 18, and this checks every n below that
+    for n in range(2, 2 ** 18):
+        l = n.bit_length() - 1
+        assert _v3((17 << l) - 8 * n) + 2 * _v3(n) < 2 * l + 2
+    # at n = 1, j = 2l + 2 = 2, and N = 9 * 1 + 72 * 2 has those 2 3s, no more
+    assert _v3(17 - 8) == 2 == _v3(9 * 1 + 72 * 2)
+
+
+@pytest.mark.parametrize("f, n", [(error_pairs, 0), (error_pairs, -1),
+                                  (quantization_error, 0)])
+def test_n_below_one_is_refused_by_level_of(f, n):
+    # before any shift or mask sees n
+    with pytest.raises(ValueError, match="n must be >= 1") as refused:
+        f(n)
+    assert refused.traceback[-1].name == "level_of"
 
 
 # every n through 2**12, both ends of each level up to l = 1100, and
