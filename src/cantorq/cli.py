@@ -26,9 +26,9 @@ MAX_RECORD_ROWS = 2 ** 16
 #: Highest `verify --level`: the DP enumerates all 2**level centroids.
 MAX_ENUM_LEVEL = 20
 
-#: Largest (max-n - 1) * 2**level of `verify`: its DP fills max-n - 1 layers
-#: of up to 2**level rows.  The largest argvs allowed took 12-53 s on one
-#: core (README), and the argmax pointers take 4 bytes per row.
+#: Largest (max-n - 1) * 2**level of `verify`: its DP fills at most max-n - 1
+#: layers of up to 2**level rows.  The largest argvs allowed took 7.5-16.5 s on
+#: one core (README), and the argmax pointers take 4 bytes per row.
 VERIFY_BUDGET = 2 ** 21
 
 #: The inclusive upper bound of each integer flag; the lower bound is 1.
@@ -186,9 +186,10 @@ def cmd_verify(args) -> int:
             oracle.dp_optimal_upto(args.max_n, args.level), start=1):
         try:
             alpha = closedform.build_alpha(n)
-            closed = closedform.quantization_error(n)
-            rows.append([n, fmt_rational(dp_value), fmt_rational(closed),
-                         dp_value == closed, dp_set == alpha,
+            dp_pair = dp_value.numerator, dp_value.denominator
+            closed = closedform.error_pairs(n)[0]  # in lowest terms, as dp_pair
+            rows.append([n, "%d/%d" % dp_pair, "%d/%d" % closed,
+                         dp_pair == closed, dp_set == alpha,
                          oracle.lloyd_step(n, alpha) == alpha])
         except oracle.OracleError as exc:
             print(f"error: oracle failure at n={n}: {exc}", file=sys.stderr)

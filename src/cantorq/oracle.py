@@ -127,23 +127,30 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     numerators: for p on S_n with foot u_p = 2x + 1/n, rho(t, p) =
     (u_p - t)**2 / 2 + (t + 1/n)**2 / 2, whose second term is the same for
     every codebook, so this is 1-D n-means on the feet.  That objective is
-    a classic concave (Monge) interval cost, so each DP layer is filled by
-    divide-and-conquer over the monotone argmax.
+    a classic concave (Monge) interval cost, so the leftmost argmax arg[g][i],
+    the end of the first of g groups covering intervals i..m-1, is monotone
+    along a layer (arg[g][i] <= arg[g][i+1]) and across layers (arg[g][i] <=
+    arg[g-1][i]: with one group more the first group ends no later).
 
     Layer g (best objective over intervals i..m-1 with g groups) does not
-    depend on n, so layers 1..max_n-1 are filled once for every i, and the
-    top layer only at i = 0.  Each layer value is an unreduced integer pair
+    depend on n, and is filled only as far as some n's pointer chain reads.
+    A request for rows 0..r of layer g first makes layer g-1 hold row r and
+    every column that row r can reach, up to arg[g-1][r]; then layer g is
+    extended from its last filled row to r by divide-and-conquer over the
+    monotone argmax, each row's columns capped at arg[g-1][i].  One request,
+    row 0 of layer max_n, worked off on an explicit stack, fills every row
+    that any n reads.  Each layer value is an unreduced integer pair
     num/den, den being the product of the group sizes; values are compared
-    by cross-multiplication, with no gcd and no Fraction in the search, and
-    only two layers are alive at once.  Each row records its argmax, the
-    end of its first group, in one array of pointers per layer, and every
-    n's boundaries follow the pointers from i = 0.  The strict comparison
-    keeps each row's leftmost argmax (leftmost maxima of a totally monotone
-    matrix are monotone, so the divide-and-conquer finds them), hence each
-    boundary in turn is the smallest one that still allows the optimum:
-    ties go to the lexicographically smallest boundaries.
-    The distortion of each group comes from prefix sums of the numerators
-    and of their squares.
+    by cross-multiplication, with no gcd and no Fraction in the search.  A
+    layer keeps values only for its live rows, as layer g never reads a row
+    of layer g-1 left of arg[g][r] again; the argmax pointers of every
+    filled row stay, one array per layer, and every n's boundaries follow
+    them from i = 0.  The strict comparison keeps each row's leftmost argmax
+    (leftmost maxima of a totally monotone matrix are monotone, so the
+    capped search finds them), hence each boundary in turn is the smallest
+    one that still allows the optimum: ties go to the lexicographically
+    smallest boundaries.  The distortion of each group comes from prefix
+    sums of the numerators and the total of their squares.
     """
     if max_n < 1:
         raise ValueError("n must be >= 1")
@@ -154,37 +161,51 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         raise ValueError(f"n={max_n} exceeds the {m} level-{level} intervals")
     nums = centroid_numerators(level)
     pref = [0, *accumulate(nums)]
-    pref2 = [0, *accumulate(v * v for v in nums)]
+    sq = sum(v * v for v in nums)
     del nums  # only the prefix sums read it: free it before the layers
 
-    # (pnum, pden): the best objective covering intervals i..m-1 with g - 1
-    # groups; arg[g][i] is where the first of g groups from i ends
-    pnum = [(pref[m] - pref[i]) ** 2 for i in range(m)]
-    pden = [m - i for i in range(m)]
-    arg = [None, None]
-    for g in range(2, max_n + 1):
-        # the top layer is needed only at i = 0
-        rows = m - g + 1 if g < max_n else 1
-        cnum, cden, carg = [0] * rows, [1] * rows, array("I", [0]) * rows
+    # layer g: the pairs vnum[g][k] / vden[g][k] of its live rows i = off[g] + k
+    # and arg[g][i] of each filled row; layer 1 is one group, ending at m
+    off = [0] * (max_n + 1)
+    vnum, vden, arg = [[] for _ in off], [[] for _ in off], [array("I") for _ in off]
+    vnum[1] = [(pref[m] - pref[i]) ** 2 for i in range(m)]
+    vden[1], arg[1] = list(range(m, 0, -1)), array("I", [m]) * m
+    stack = [(max_n, 0)] if max_n > 1 else []
+    while stack:
+        g, r = stack[-1]
+        parg = arg[g - 1]
+        # layer g - 1 must hold row r, then every column row r can reach
+        need = min(parg[r], m - g + 1) if r < len(parg) else r
+        if need >= len(parg):
+            stack.append((g - 1, need))
+            continue
+        stack.pop()
+        pnum, pden, o = vnum[g - 1], vden[g - 1], off[g - 1]
+        cnum, cden, carg, co = vnum[g], vden[g], arg[g], off[g]
+        f = len(carg)  # the first row to fill; solve sets every row to r
+        for rows in (cnum, cden, carg):
+            rows.extend([0] * (r + 1 - f))
 
         def solve(ilo: int, ihi: int, jlo: int, jhi: int) -> None:
             if ilo > ihi:
                 return
             mid = (ilo + ihi) // 2
-            base = pref[mid]
+            base, lo, hi = pref[mid], max(jlo, mid + 1), min(jhi, parg[mid]) + 1
             bn, bd, best_j = -1, 1, -1
-            for j in range(max(jlo, mid + 1), jhi + 1):
-                d, size, pd = pref[j] - base, j - mid, pden[j]
-                num, den = d * d * pd + pnum[j] * size, size * pd
+            for j in range(lo, hi):
+                d, size, pd = pref[j] - base, j - mid, pden[j - o]
+                num, den = d * d * pd + pnum[j - o] * size, size * pd
                 if num * bd > bn * den:
                     bn, bd, best_j = num, den, j
-            cnum[mid], cden[mid], carg[mid] = bn, bd, best_j
+            cnum[mid - co], cden[mid - co], carg[mid] = bn, bd, best_j
             solve(ilo, mid - 1, jlo, best_j)
             solve(mid + 1, ihi, best_j, jhi)
 
-        solve(0, rows - 1, 1, m - (g - 1))
-        pnum, pden = cnum, cden
-        arg.append(carg)
+        solve(f, r, carg[f - 1] if f else 1, need)
+        # rows of layer g - 1 left of arg[g][r] are dead
+        dead = carg[r] - o
+        del pnum[:dead], pden[:dead]
+        off[g - 1] = o + dead
 
     den0 = 2 * 3 ** level
     results = []
@@ -194,17 +215,17 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
             edges.append(arg[g][edges[-1]])
         edges.append(m)
 
-        groups = [(pref[j] - pref[i], pref2[j] - pref2[i], j - i)
-                  for i, j in zip(edges, edges[1:])]
-        lcm_size = lcm(*(size for *_, size in groups))
+        groups = [(pref[j] - pref[i], j - i) for i, j in zip(edges, edges[1:])]
+        lcm_size = lcm(*(size for _, size in groups))
         ps = PointSet.from_feet(n, lcm_size * den0,
-                                [s1 * (lcm_size // size) for s1, _, size in groups])
+                                [s1 * (lcm_size // size) for s1, size in groups])
         # each group is a cell: (mass, M1, M2) = (size, s1 / den0, s2 / den0**2
         # + size / (2 den0**2)) / m, as each interval adds its own variance,
-        # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square
+        # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square; the
+        # distortion reads only the total of the M2 terms, so it goes on one cell
         e, a, c = point_numerators(n, ps.den, ps.feet)
         r = [u * u + v * v for u, v in zip(a, c)]
-        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 2 * s2 + size)
-                 for s1, s2, size in groups]
+        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 0) for s1, size in groups]
+        cells[0] = (*cells[0][:2], 2 * sq + m)
         results.append((ps, _distortion(e, a, r, cells, 2 * den0 * den0 * m)))
     return results

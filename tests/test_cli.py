@@ -175,6 +175,23 @@ def test_verify_reports_an_oracle_failure_in_one_line(capsys, monkeypatch):
         "", "error: oracle failure at n=3: cell of point 2 has zero measure\n")
 
 
+def test_verify_reads_the_closed_value_as_a_reduced_pair(capsys, monkeypatch):
+    def no_fraction(n):
+        raise AssertionError(f"quantization_error({n}) called")
+
+    monkeypatch.setattr(closedform, "quantization_error", no_fraction)
+    code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
+    assert (code, rec["results"]["all_pass"]) == (0, True)
+    assert rec["results"]["checks"][1]["closed_value"] == "41/72"
+    pairs = closedform.error_pairs
+    monkeypatch.setattr(closedform, "error_pairs", lambda n: (
+        (82, 144), *pairs(n)[1:]) if n == 2 else pairs(n))  # 41/72 unreduced
+    code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
+    assert (code, rec["results"]["all_pass"]) == (1, False)
+    assert [c["value_match"] for c in rec["results"]["checks"]] == [
+        True, False, True, True]
+
+
 def _run_module(*argv):
     """Run `python -m cantorq.cli argv` in a child process."""
     src = str(Path(cli.__file__).resolve().parent.parent)

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from cantorq.constraint import (
     ConstraintPoint,
     PointSet,
     feasible_window,
+    point_numerators,
     rho,
     u_inverse,
 )
@@ -352,6 +354,103 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
     assert ties > 0  # the tie-break is exercised
 
 
+def _eager_dp_optimal_upto(max_n, level):
+    """The DP filled eagerly, layer by layer: every row of layers 1..max_n-1
+    and row 0 of the top layer, each row's columns bounded only by the
+    divide-and-conquer; the group sums of squares come from their own prefix
+    sums.  A reference for dp_optimal_upto, which fills rows on demand."""
+    m = 2 ** level
+    nums = centroid_numerators(level)
+    pref = [0, *accumulate(nums)]
+    pref2 = [0, *accumulate(v * v for v in nums)]
+    pnum = [(pref[m] - pref[i]) ** 2 for i in range(m)]
+    pden = [m - i for i in range(m)]
+    arg = [None, None]
+    for g in range(2, max_n + 1):
+        rows = m - g + 1 if g < max_n else 1
+        cnum, cden, carg = [0] * rows, [1] * rows, [0] * rows
+
+        def solve(ilo, ihi, jlo, jhi):
+            if ilo > ihi:
+                return
+            mid = (ilo + ihi) // 2
+            bn, bd, best_j = -1, 1, -1
+            for j in range(max(jlo, mid + 1), jhi + 1):
+                d, size, pd = pref[j] - pref[mid], j - mid, pden[j]
+                num, den = d * d * pd + pnum[j] * size, size * pd
+                if num * bd > bn * den:
+                    bn, bd, best_j = num, den, j
+            cnum[mid], cden[mid], carg[mid] = bn, bd, best_j
+            solve(ilo, mid - 1, jlo, best_j)
+            solve(mid + 1, ihi, best_j, jhi)
+
+        solve(0, rows - 1, 1, m - (g - 1))
+        pnum, pden = cnum, cden
+        arg.append(carg)
+
+    den0 = 2 * 3 ** level
+    results = []
+    for n in range(1, max_n + 1):
+        edges = [0]
+        for g in range(n, 1, -1):
+            edges.append(arg[g][edges[-1]])
+        edges.append(m)
+        groups = [(pref[j] - pref[i], pref2[j] - pref2[i], j - i)
+                  for i, j in zip(edges, edges[1:])]
+        lcm_size = lcm(*(size for *_, size in groups))
+        ps = PointSet.from_feet(n, lcm_size * den0,
+                                [s1 * (lcm_size // size) for s1, _, size in groups])
+        e, a, c = point_numerators(n, ps.den, ps.feet)
+        r = [u * u + v * v for u, v in zip(a, c)]
+        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 2 * s2 + size)
+                 for s1, s2, size in groups]
+        results.append((ps, oracle._distortion(e, a, r, cells, 2 * den0 * den0 * m)))
+    return results
+
+
+@pytest.mark.parametrize("max_n, level", [
+    *((max_n, level) for level in range(1, 9)
+      for max_n in sorted({1, 2, 3, 4, 5, 8, 17, 2 ** level}) if max_n <= 2 ** level),
+    (4, 10), (2, 12)])
+def test_dp_matches_the_eager_fill(max_n, level):
+    assert dp_optimal_upto(max_n, level) == _eager_dp_optimal_upto(max_n, level)
+
+
+def _leftmost_argmaxes(level, layers):
+    """arg[g][i], the end of the first group of the best grouping of intervals
+    i..m-1 into g groups, leftmost among ties, for g = 1..layers and every
+    row i <= m - g: an exhaustive search over every first group of every row,
+    in Fractions; arg[1][i] = m."""
+    m = 2 ** level
+    pref = [0, *accumulate(centroid_numerators(level))]
+
+    def gain(i, j):
+        return F((pref[j] - pref[i]) ** 2, j - i)
+
+    best = {(1, i): gain(i, m) for i in range(m)}
+    arg = {(1, i): m for i in range(m)}
+    for g in range(2, layers + 1):
+        for i in range(m - g + 1):
+            values = [gain(i, j) + best[g - 1, j] for j in range(i + 1, m - g + 2)]
+            best[g, i] = max(values)
+            arg[g, i] = i + 1 + values.index(best[g, i])
+    return arg
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_first_group_ends_bound_each_other(level):
+    # the caps of dp_optimal_upto: a row's first group ends no later with one
+    # group more, and no earlier a row further right
+    m = 2 ** level
+    layers = min(m, 8)
+    arg = _leftmost_argmaxes(level, layers)
+    for g in range(2, layers + 1):
+        for i in range(m - g + 1):
+            assert arg[g, i] <= arg[g - 1, i]
+            if i < m - g:
+                assert arg[g, i] <= arg[g, i + 1]
+
+
 def test_dp_keeps_two_layers_of_values():
     # every layer of integer pairs kept alive would peak near 0.36 MiB
     tracemalloc.start()
@@ -361,6 +460,19 @@ def test_dp_keeps_two_layers_of_values():
     finally:
         tracemalloc.stop()
     assert peak < 0.2 * 2 ** 20
+
+
+def test_dp_keeps_only_live_rows_of_values():
+    # the eager fill, two layers of every row, peaked at 0.42 MiB here (Python
+    # 3.10-3.13) and the live rows at 0.21-0.22 MiB; keeping every filled row
+    # of every layer peaks near 1.7 MiB
+    tracemalloc.start()
+    try:
+        dp_optimal_upto(33, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", range(1, 17))
