@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -36,20 +35,12 @@ FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
                "level": MAX_ENUM_LEVEL, "max_level": MAX_RECORD_ROWS}
 
 
-def fmt_rational(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _fmt_points(ps) -> list[tuple[str, str]]:
-    """(x, y) of each point of a codebook as "p/q", from its integer feet
-    with one gcd each: the strings fmt_rational writes for x and y."""
-    e, xs, ys = constraint.point_numerators(ps.n, ps.den, ps.feet)
-    return [(_fmt_ratio(a, e), _fmt_ratio(c, e)) for a, c in zip(xs, ys)]
-
-
-def _fmt_ratio(p: int, q: int) -> str:
-    g = gcd(p, q)
-    return f"{p // g}/{q // g}"
+def _point_texts(n: int, den: int, feet, form: str) -> dict[int, str]:
+    """form % (x, y) of the point of S_n at each of the distinct feet t/den,
+    keyed by t, with x and y as "p/q": one point_numerators call, a gcd each."""
+    e, xs, ys = constraint.point_numerators(n, den, feet)
+    return {t: form % (f"{a // g}/{e // g}", f"{c // h}/{e // h}")
+            for t, a, c in zip(feet, xs, ys) for g, h in [(gcd(a, e), gcd(c, e))]}
 
 
 def fmt_float(x: float) -> str:
@@ -71,13 +62,17 @@ def _parse_split_selector(selector: str, n: int):
     return [[w for token in selector.split(",") if (w := token.strip())]]
 
 
+class _Raw(str):
+    """JSON text, already indented for its place in a record."""
+
+
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the str, int, bool,
     list and dict values of a record, where `indent` is the newline and the
-    indentation of the value's first line.  Any other type raises TypeError,
-    so that no value is written other than json.dumps would write it."""
+    indentation of the value's first line; a _Raw is written as it is.  Any
+    other type raises TypeError, lest its bytes differ from json.dumps's."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Raw else encode_basestring_ascii(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -143,25 +138,30 @@ def cmd_optimal_set(args) -> int:
             and closedform.count_optimal_sets(n) * n > MAX_RECORD_ROWS):
         return _usage_error(f"--split-set all at n={n} gives more than "
                             f"{MAX_RECORD_ROWS} point rows")
-    try:
-        # (split words, [(x, y)]) of each codebook; no name outlives its codebook
-        sets = [(sorted(ss), _fmt_points(closedform.build_alpha(n, ss)))
-                for ss in _parse_split_selector(args.split_set, n)]
+    den = 2 * 3 ** (closedform.level_of(n) + 1)  # build_alpha's, unreduced
+    try:  # (split words, feet over den) of each codebook; no codebook is kept
+        sets = [(sorted(ss), [t * k for t in ps.feet])
+                for ss in _parse_split_selector(args.split_set, n)
+                for ps in [closedform.build_alpha(n, ss)] for k in [den // ps.den]]
     except ValueError as exc:
         return _usage_error(str(exc))
     # V_n, U_n and a_term = V_n - U_n are the same for every split set
     v, u = closedform.quantization_error(n), closedform.unconstrained_error(n)
-    errors = [fmt_rational(e) for e in (v, u, v - u)]
+    errors = ["%d/%d" % e.as_integer_ratio() for e in (v, u, v - u)]
+    # each point once: an item of "points" at its depth in _emit's JSON, or x,y
+    text = _point_texts(n, den, dict.fromkeys(t for _, fs in sets for t in fs), (
+        '\n          {\n            "x": "%s",\n            "y": "%s"\n          }'
+        if args.format == "json" else "%s,%s"))
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
-        rows = ([ws, [{"x": x, "y": y} for x, y in xys], *errors]
-                for ws, xys in sets)
+        rows = ([ws, _Raw("[%s\n        ]" % ",".join(map(text.get, feet))), *errors]
+                for ws, feet in sets)
     else:  # one row per point
         header = ["set_index", "split_set", "point_index", "x", "y",
                   "total", "variance_term", "a_term"]
-        rows = ([idx, "+".join(ws), pidx, x, y, *errors]
-                for idx, (ws, xys) in enumerate(sets)
-                for pidx, (x, y) in enumerate(xys))
+        rows = ([idx, joined, pidx, text[t], *errors]
+                for idx, (ws, feet) in enumerate(sets) for joined in ["+".join(ws)]
+                for pidx, t in enumerate(feet))
     _emit(args, header, rows, "sets")
     return 0
 

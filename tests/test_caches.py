@@ -38,3 +38,13 @@ def test_returned_masses_do_not_alias_the_pass():
     masses.append(Fraction(1))
     assert oracle.cell_measures(12, ps) == expected
     assert oracle.exact_distortion(12, ps) == closedform.quantization_error(12)
+
+
+def test_the_cli_keeps_no_point_text_after_a_call(capsys):
+    # optimal-set formats each distinct point once, in a lookup of its own call
+    before = dict(vars(cli))
+    for fmt in ("json", "csv"):
+        assert cli.main(["optimal-set", "--n", "6", "--split-set", "all",
+                         "--format", fmt]) == 0
+    assert "11/27,31/54" in capsys.readouterr().out
+    assert vars(cli) == before

@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -58,6 +59,30 @@ def test_optimal_set_all_split_sets_share_total(capsys):
     sets = rec["results"]["sets"]
     assert len(sets) == 2
     assert len({s["total"] for s in sets}) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [*range(1, 13), 18])
+def test_each_set_of_all_is_the_set_its_words_give(capsys, n, fmt):
+    # the sets of one record share their point texts; each must still read
+    # as the record of its own words does
+    def sets(split_set):
+        code, out = run(capsys, "optimal-set", "--n", str(n), "--split-set",
+                        split_set, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            return [(",".join(s["split_set"]), s)
+                    for s in json.loads(out)["results"]["sets"]]
+        reader = csv.reader(out.split("\r\n")[2:-1])  # after the # line and header
+        return [(rows[0][1].replace("+", ","), [row[1:] for row in rows])
+                for _, group in itertools.groupby(reader, key=lambda row: row[0])
+                for rows in [list(group)]]
+
+    every = sets("all")
+    assert len(every) == closedform.count_optimal_sets(n)
+    assert len({words for words, _ in every}) == len(every)
+    for words, s in every:
+        assert sets(words) == [(words, s)]
 
 
 def test_optimal_set_explicit_split_set(capsys):
@@ -359,6 +384,18 @@ GOLDEN = [
     # the largest point-row CSV record, 12.5 MB
     ("optimal-set --n 65536 --format csv", 0,
      "ca97cbd82f17238a805ffc93c62c195a3c9589f7fd19deca1f51897c1e198ddf"),
+    ("optimal-set --n 65536", 0,
+     "0a77622e67380b179ba04ebdfd19e52429c2f852e16512f83eb54c91c93e4825"),
+    # C(16, 4) = C(16, 12) = 1820 sets: 36400 point rows at n = 20, and at
+    # n = 28 the largest --split-set all under the row cap, 50960 rows
+    ("optimal-set --n 20 --split-set all", 0,
+     "2aa030dd5b81b1f49ab033056c3ad137711c86e8dcadc2f93714e61845a2592c"),
+    ("optimal-set --n 20 --split-set all --format csv", 0,
+     "83cce9c2c92f9aaa50348b75334be5dc4a95bff2a5ae58b0e153a30a533a9d81"),
+    ("optimal-set --n 28 --split-set all", 0,
+     "aebcfba9ec0a41e5d99c06ba7a9f8c34563726b24f03ef396b256ad42dfb45b0"),
+    ("optimal-set --n 28 --split-set all --format csv", 0,
+     "d8dc72a220f3d90f5374766a082680aa9c8a77492552f4fc58bbd985f918aff8"),
 ]
 
 
@@ -546,6 +583,19 @@ def test_error_rows_build_no_fraction(capsys, monkeypatch, argv):
     assert main(argv.split()) == 0
     assert made == []
     assert capsys.readouterr().out.count("/") >= 80  # two "p/q" a row
+
+
+def test_a_sets_points_are_written_as_text(capsys, monkeypatch):
+    # no point of a set goes through _json, so its calls do not grow with n
+    calls, json_ = [], cli._json
+    monkeypatch.setattr(cli, "_json", lambda *args: calls.append(args) or json_(*args))
+    counts = []
+    for n in ("64", "128"):
+        calls.clear()
+        assert main(["optimal-set", "--n", n]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert capsys.readouterr().out.count('"x": ') == 64 + 128
 
 
 @pytest.mark.parametrize("split_set", ["canonical", "all"])

@@ -13,7 +13,7 @@ from math import lcm
 import pytest
 
 from cantorq import oracle
-from cantorq.cli import _fmt_points, fmt_rational
+from cantorq.cli import _point_texts
 from cantorq.closedform import admissible_split_sets, build_alpha, level_of
 from cantorq.constraint import ConstraintPoint, PointSet
 from cantorq.measure import centroid_numerators, words
@@ -38,7 +38,11 @@ def assert_same_codebook(n, split_set=None, evaluate=True):
     pts = reference_points(n, split_set)
     alpha, reference = build_alpha(n, split_set), PointSet(n, pts)
     assert alpha == reference and hash(alpha) == hash(reference)
-    assert _fmt_points(alpha) == [(fmt_rational(p.x), fmt_rational(p.y)) for p in pts]
+    texts = _point_texts(n, alpha.den, alpha.feet, "%s,%s")
+    assert list(texts) == list(alpha.feet)
+    assert list(texts.values()) == [
+        f"{p.x.numerator}/{p.x.denominator},{p.y.numerator}/{p.y.denominator}"
+        for p in pts]
     if not evaluate:
         assert alpha.points == tuple(pts)
         return
