@@ -30,7 +30,11 @@ class AsymptoticSample(NamedTuple):
 def sample_at(n: int) -> AsymptoticSample:
     if n < 2:
         raise ValueError("n must be >= 2")
-    v, (p, q), (num, den) = closedform.error_pairs(n)
+    return _sample(n, closedform.error_pairs(n))
+
+
+def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
+    v, (p, q), (num, den) = pairs
     dim = 2 * math.log(n) / (math.log(q) - math.log(p))
     # correctly rounded int / int; past level 1024 it overflows a float
     return AsymptoticSample(n, v, (p, q), dim, num / den)
@@ -40,4 +44,5 @@ def dimension_sequence(max_level: int) -> list[AsymptoticSample]:
     """Samples at n = 2**l for l = 1..max_level; dim_estimate approaches 2."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    return [sample_at(2 ** l) for l in range(1, max_level + 1)]
+    ns = [2 ** l for l in range(1, max_level + 1)]
+    return list(map(_sample, ns, closedform.error_pairs_sweep(ns)))

@@ -36,10 +36,10 @@ FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
 
 
 def _point_texts(n: int, den: int, feet, form: str) -> dict[int, str]:
-    """form % (x, y) of the point of S_n at each of the distinct feet t/den,
-    keyed by t, with x and y as "p/q": one point_numerators call, a gcd each."""
+    """form % (x numerator, denominator, y numerator, denominator) in lowest
+    terms of the point of S_n at each distinct foot t/den, keyed by t."""
     e, xs, ys = constraint.point_numerators(n, den, feet)
-    return {t: form % (f"{a // g}/{e // g}", f"{c // h}/{e // h}")
+    return {t: form % (a // g, e // g, c // h, e // h)
             for t, a, c in zip(feet, xs, ys) for g, h in [(gcd(a, e), gcd(c, e))]}
 
 
@@ -138,11 +138,10 @@ def cmd_optimal_set(args) -> int:
             and closedform.count_optimal_sets(n) * n > MAX_RECORD_ROWS):
         return _usage_error(f"--split-set all at n={n} gives more than "
                             f"{MAX_RECORD_ROWS} point rows")
-    den = 2 * 3 ** (closedform.level_of(n) + 1)  # build_alpha's, unreduced
-    try:  # (split words, feet over den) of each codebook; no codebook is kept
-        sets = [(sorted(ss), [t * k for t in ps.feet])
-                for ss in _parse_split_selector(args.split_set, n)
-                for ps in [closedform.build_alpha(n, ss)] for k in [den // ps.den]]
+    den = 2 * 3 ** (closedform.level_of(n) + 1)  # feet_table's
+    try:  # (split words, feet over den) of each codebook, from one table
+        sets = [(sorted(ss), feet(ss)) for feet in [closedform.feet_table(n)]
+                for ss in _parse_split_selector(args.split_set, n)]
     except ValueError as exc:
         return _usage_error(str(exc))
     # V_n, U_n and a_term = V_n - U_n are the same for every split set
@@ -150,8 +149,8 @@ def cmd_optimal_set(args) -> int:
     errors = ["%d/%d" % e.as_integer_ratio() for e in (v, u, v - u)]
     # each point once: an item of "points" at its depth in _emit's JSON, or x,y
     text = _point_texts(n, den, dict.fromkeys(t for _, fs in sets for t in fs), (
-        '\n          {\n            "x": "%s",\n            "y": "%s"\n          }'
-        if args.format == "json" else "%s,%s"))
+        '\n          {\n            "x": "%d/%d",\n            "y": "%d/%d"\n          }'
+        if args.format == "json" else "%d/%d,%d/%d"))
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
         rows = ([ws, _Raw("[%s\n        ]" % ",".join(map(text.get, feet))), *errors]
@@ -167,9 +166,9 @@ def cmd_optimal_set(args) -> int:
 
 
 def cmd_error_table(args) -> int:
+    ns = range(1, args.max_n + 1)  # pairs in lowest terms: no gcd
     rows = [[n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
-            for n in range(1, args.max_n + 1)  # pairs in lowest terms: no gcd
-            for v, e, _ in [closedform.error_pairs(n)]]
+            for n, (v, e, _) in zip(ns, closedform.error_pairs_sweep(ns))]
     _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
     return 0
 
@@ -181,13 +180,12 @@ def cmd_verify(args) -> int:
     if (args.max_n - 1) * 2 ** args.level > VERIFY_BUDGET:
         return _usage_error(f"(max-n - 1) * 2**level exceeds the work budget "
                             f"{VERIFY_BUDGET}")
-    rows = []
-    for n, (dp_set, dp_value) in enumerate(
-            oracle.dp_optimal_upto(args.max_n, args.level), start=1):
+    rows, ns = [], range(1, args.max_n + 1)
+    for n, (dp_set, dp_value), (closed, _, _) in zip(ns, oracle.dp_optimal_upto(
+            args.max_n, args.level), closedform.error_pairs_sweep(ns)):
         try:
             alpha = closedform.build_alpha(n)
-            dp_pair = dp_value.numerator, dp_value.denominator
-            closed = closedform.error_pairs(n)[0]  # in lowest terms, as dp_pair
+            dp_pair = dp_value.numerator, dp_value.denominator  # reduced, as closed
             rows.append([n, "%d/%d" % dp_pair, "%d/%d" % closed,
                          dp_pair == closed, dp_set == alpha,
                          oracle.lloyd_step(n, alpha) == alpha])

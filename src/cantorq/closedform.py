@@ -20,10 +20,12 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .constraint import PointSet, rho, u_inverse
 from .measure import Word, centroid, centroid_numerators, words
+
+_BITS = str.maketrans("12", "01")  # word i of words(l) is i in binary
 
 
 def level_of(n: int) -> int:
@@ -52,46 +54,48 @@ def admissible_split_sets(n: int) -> Iterator[frozenset[Word]]:
         yield frozenset(combo)
 
 
-def _checked_split_set(n: int, split_set) -> frozenset[Word]:
-    if split_set is None:
-        return canonical_split_set(n)
+def _checked_split_set(n: int, split_set) -> list[int] | range:
+    """The sorted indices in words(l) of the words of a split set at n
+    (None: the canonical set)."""
     if isinstance(split_set, str):
         raise TypeError("a split set is a collection of words, not a str")
     l = level_of(n)
-    checked: set[Word] = set()
+    if split_set is None:
+        return range(n - 2 ** l)
+    checked: set[int] = set()
     for w in split_set:
         if not isinstance(w, str) or len(w) != l or w.strip("12"):
             raise ValueError(f"{w} is not a word of length {l} over {{1,2}}")
-        if w in checked:
+        if (i := int("0" + w.translate(_BITS), 2)) in checked:
             raise ValueError(f"repeated word {w}")
-        checked.add(w)
+        checked.add(i)
     if len(checked) != n - 2 ** l:
-        raise ValueError(
-            f"split set must have {n - 2 ** l} words for n={n}, "
-            f"got {len(checked)}")
-    return frozenset(checked)
+        raise ValueError(f"split set must have {n - 2 ** l} words for n={n}, "
+                         f"got {len(checked)}")
+    return sorted(checked)
+
+
+def feet_table(n: int) -> Callable[[Iterable[Word] | None], list[int]]:
+    """The map from a split set at n (None: the canonical one) to the feet of
+    its codebook over 2 * 3**(l + 1), from one table of the level's centroids:
+    word i of words(l) gives its centroid or, if split, its children's,
+    numerators 2i and 2i+1 of centroid_numerators(l + 1), whose mean is its
+    own; words come in position order, so the feet need no sort."""
+    nums = centroid_numerators(level_of(n) + 1)  # all odd
+    means = [(left + right) // 2 for left, right in zip(nums[::2], nums[1::2])]
+    def feet(split_set: Iterable[Word] | None = None) -> list[int]:
+        out, start = [], 0
+        for i in _checked_split_set(n, split_set):
+            out += means[start:i] + nums[2 * i:2 * i + 2]
+            start = i + 1
+        return out + means[start:]
+    return feet
 
 
 def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
-    """The codebook of n points on S_n generated by the given split set.
-
-    Unsplit level-l words contribute the pullback of their centroid;
-    split words contribute the pullbacks of both children's centroids.
-    Word i of words(l) has the children numerators 2i and 2i+1 of
-    centroid_numerators(l + 1), and its own centroid is their mean; words
-    come in position order, so the points need no sort.
-    n = 1 (level 0, empty split set) gives the single point (-1/4, 3/4).
-    """
-    split_set = _checked_split_set(n, split_set)
-    l = level_of(n)
-    nums = centroid_numerators(l + 1)
-    feet = []  # over 2 * 3**(l + 1); both children's numerators are odd
-    for w, left, right in zip(words(l), nums[::2], nums[1::2]):
-        if w in split_set:
-            feet += (left, right)
-        else:
-            feet.append((left + right) // 2)
-    return PointSet.from_feet(n, 2 * 3 ** (l + 1), feet)
+    """The codebook of n points on S_n generated by the given split set (None:
+    the canonical one); n = 1 gives the single point (-1/4, 3/4)."""
+    return PointSet.from_feet(n, 2 * 3 ** (level_of(n) + 1), feet_table(n)(split_set))
 
 
 # an enumeration of split sets at one n revisits its 3 * 2**l summands
@@ -104,15 +108,10 @@ def _summand(n: int, w: Word) -> Fraction:
 def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
     """The A-term V_n - U_n by direct summation over the words, an oracle
     that does not use the foot identity."""
-    split_set = _checked_split_set(n, split_set)
-    l = level_of(n)
-    total = Fraction(0)
-    for w in words(l):
-        if w in split_set:
-            total += _summand(n, w + "1") + _summand(n, w + "2")
-        else:
-            total += _summand(n, w)
-    return total
+    split = set(_checked_split_set(n, split_set))
+    return sum((_summand(n, w + "1") + _summand(n, w + "2") if i in split
+                else _summand(n, w) for i, w in enumerate(words(level_of(n)))),
+               Fraction(0))
 
 
 def unconstrained_error(n: int) -> Fraction:
@@ -131,28 +130,41 @@ def error_pairs(n: int) -> tuple[tuple[int, int], ...]:
     l+4+2a) 2s with it and, as N = r n**2 (mod 3**(2l+2)), j = v3(r) + 2b 3s:
     j < 2l + 2 for l >= 18, as 3**j <= r n**2 < 17 * 2**l * 4**(l+1) <
     9**(l+1), and for every n < 2**18 but 1, whose N = 9 * 17 has j = 2 3s
-    too (the tests check both).  N / 3**j is built from 3**(2l+2-j), each
-    product by n or 18**l one by n's odd part and a shift.  V_n = (16p +
-    3q) / (16q), p/q the excess, shares only 2s: no odd prime of q divides
-    16p."""
-    l = level_of(n)
+    too (the tests check both); v3(r) is v3(r / 2**a).  N / 3**j is built
+    from 3**(2l+2-j), each product by n or 18**l one by n's odd part and a
+    shift.  V_n = (16p + 3q) / (16q), p/q the excess, shares only 2s: no odd
+    prime of q divides 16p."""
+    return _error_pairs(n, l := level_of(n), 3 ** (2 * l + 2))
+
+
+def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """error_pairs(n) for each n of ns in turn, with 3**(2l+2) carried from
+    one n to the next: times 9 per level up, a fresh power if the level drops."""
+    l, nines = -1, 1  # 3**(2l+2) at l = -1
+    for n in ns:
+        m = level_of(n)
+        nines, l = nines * 9 ** (m - l) if m >= l else 3 ** (2 * m + 2), m
+        yield _error_pairs(n, l, nines)
+
+
+def _error_pairs(n: int, l: int, nines: int) -> tuple[tuple[int, int], ...]:
+    """error_pairs(n), given l = level_of(n) and nines = 3**(2l+2)."""
     a = (n & -n).bit_length() - 1
     odd = w = n >> a
-    j = 0
+    three = 1  # 3**j
     while w % 3 == 0:
-        w, j = w // 3, j + 2
-    r = (17 << l) - 8 * n
+        w, three = w // 3, three * 9
+    r = (17 << l - a) - 8 * odd  # r / 2**a: 9 at n = 2**l
     while r % 3 == 0:
-        r, j = r // 3, j + 1
-    k, three = 3 ** (2 * l + 2 - j), 3 ** j
+        r, three = r // 3, three * 3
+    k = nines // three
     ko, e2 = k * odd, l + 4 + 2 * a  # e2: the 2s of the denominator
-    big = (r * w * w << 2 * a) + ((ko << a) + k << l + 3)  # N / 3**j
+    big = (r * w * w << 3 * a) + ((ko << a) + k << l + 3)  # N / 3**j
     twos = min((big & -big).bit_length() - 1, e2)
     p, q = big >> twos, ko * odd << e2 - twos
     s = 16 * p + 3 * q
     twos = min((s & -s).bit_length() - 1, e2 + 4 - twos)
-    return ((s >> twos, q << 4 >> twos), (p, q),
-            (big * three, k * three << l + 4))
+    return ((s >> twos, q << 4 >> twos), (p, q), (big * three, nines << l + 4))
 
 
 def quantization_error(n: int) -> Fraction:

@@ -208,9 +208,10 @@ def test_verify_reads_the_closed_value_as_a_reduced_pair(capsys, monkeypatch):
     code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
     assert (code, rec["results"]["all_pass"]) == (0, True)
     assert rec["results"]["checks"][1]["closed_value"] == "41/72"
-    pairs = closedform.error_pairs
-    monkeypatch.setattr(closedform, "error_pairs", lambda n: (
-        (82, 144), *pairs(n)[1:]) if n == 2 else pairs(n))  # 41/72 unreduced
+    sweep = closedform.error_pairs_sweep
+    monkeypatch.setattr(closedform, "error_pairs_sweep", lambda ns: (
+        ((82, 144), *pairs[1:]) if n == 2 else pairs  # 41/72 unreduced
+        for n, pairs in zip(ns, sweep(ns))))
     code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
     assert (code, rec["results"]["all_pass"]) == (1, False)
     assert [c["value_match"] for c in rec["results"]["checks"]] == [
@@ -554,14 +555,15 @@ def test_emit_writes_each_row_before_pulling_the_next(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
-    error = closedform.error_pairs
+    sweep = closedform.error_pairs_sweep
 
-    def failing(n):
-        if n == 5:
-            raise RuntimeError("at max-n")
-        return error(n)
+    def failing(ns):
+        for n, pairs in zip(ns, sweep(ns)):
+            if n == 5:
+                raise RuntimeError("at max-n")
+            yield pairs
 
-    monkeypatch.setattr(closedform, "error_pairs", failing)
+    monkeypatch.setattr(closedform, "error_pairs_sweep", failing)
     with pytest.raises(RuntimeError, match="at max-n"):
         main(["error-table", "--max-n", "5", "--format", fmt])
     assert capsys.readouterr().out == ""
@@ -600,18 +602,22 @@ def test_a_sets_points_are_written_as_text(capsys, monkeypatch):
 
 @pytest.mark.parametrize("split_set", ["canonical", "all"])
 def test_no_codebook_is_alive_while_the_record_is_written(monkeypatch, split_set):
-    build, refs, alive = closedform.build_alpha, [], []
+    # one table of the level's centroids per command, read once per set and
+    # gone, with every codebook but its feet, before the record is written
+    table, refs, reads, alive = closedform.feet_table, [], [], []
 
-    def tracked(*args):
-        alpha = build(*args)
-        refs.append(weakref.ref(alpha))
-        return alpha
+    def tracked(n):
+        feet = table(n)
+        refs.append(weakref.ref(feet))
+        return lambda ss: reads.append(ss) or feet(ss)
 
     def emit(*args, **kwargs):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs))
 
-    monkeypatch.setattr(closedform, "build_alpha", tracked)
+    monkeypatch.setattr(closedform, "feet_table", tracked)
+    monkeypatch.setattr(closedform, "build_alpha", None)
     monkeypatch.setattr(cli, "_emit", emit)
     assert main(["optimal-set", "--n", "6", "--split-set", split_set]) == 0
-    assert alive == [0] and len(refs) == (6 if split_set == "all" else 1)
+    assert alive == [0] and len(refs) == 1
+    assert len(reads) == (6 if split_set == "all" else 1)

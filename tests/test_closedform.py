@@ -11,6 +11,8 @@ from cantorq.closedform import (
     canonical_split_set,
     count_optimal_sets,
     error_pairs,
+    error_pairs_sweep,
+    feet_table,
     level_of,
     quantization_error,
     unconstrained_error,
@@ -124,6 +126,31 @@ def test_build_alpha_window_compliance(n):
     lo, hi = feasible_window(n)
     for p in build_alpha(n).points:
         assert lo <= p.x <= hi
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 18, 20])
+def test_one_level_table_gives_every_codebook(n):
+    # each split set's feet over 2 * 3**(l+1) from one table, in any order
+    # and again, are build_alpha's codebook; None is the canonical set
+    feet, den = feet_table(n), 2 * 3 ** (level_of(n) + 1)
+    sets = list(admissible_split_sets(n))
+    for ss in [*sets, *reversed(sets), None, canonical_split_set(n)]:
+        alpha = build_alpha(n, ss)
+        assert feet(ss) == [t * (den // alpha.den) for t in alpha.feet]
+    assert feet(None) == feet(canonical_split_set(n)) == feet(sorted(sets[0]))
+
+
+def test_a_refused_split_set_leaves_the_table_as_it_was():
+    feet = feet_table(6)
+    expected = feet({"12", "21"})
+    for bad, error in [({"12"}, "^split set must have 2 words for n=6, got 1$"),
+                       (["21", "21"], "^repeated word 21$"),
+                       (["11", "13"], r"^13 is not a word of length 2 over \{1,2\}$")]:
+        with pytest.raises(ValueError, match=error):
+            feet(bad)
+    assert feet(["21", "12"]) == expected
+    # over 54: the means 3 and 51 of 11 and 22, the children 13, 17 and 37, 41
+    assert expected == [3, 13, 17, 37, 41, 51]
 
 
 def test_a_term_two_points():
@@ -330,3 +357,27 @@ def test_expansion_remainder_bound(ns):
         r, bound = _remainder(n), F(1, 16 * 9 ** l)
         assert 0 < r <= bound
         assert (r == bound) == (n == 2 ** l)
+
+
+# n rising, falling, repeating and jumping levels, every 2**l for l <= 1100,
+# and a seeded shuffle: the sweep carries 3**(2l+2) across all of them
+SWEEPS = {
+    "rising": range(1, 2 ** 11 + 1),
+    "falling": range(2 ** 11, 0, -1),
+    "repeating": [1, 1, 2, 2, 3, 3, 3, 2 ** 40, 2 ** 40, 2 ** 41 - 1, 5, 5],
+    "jumping": [1, 2 ** 1100, 3, 2 ** 600 + 1, 2 ** 600 + 1, 2, 2 ** 1101 - 1, 1],
+    "dyadic": [2 ** l for l in range(1101)],
+    "shuffled": random.Random(28).sample(EXPANSION_NS["off_dyadic"], 600),
+}
+
+
+@pytest.mark.parametrize("ns", SWEEPS.values(), ids=SWEEPS)
+def test_sweep_is_error_pairs_at_each_n(ns):
+    assert list(error_pairs_sweep(iter(ns))) == [error_pairs(n) for n in ns]
+
+
+def test_sweep_refuses_n_below_one_when_it_reaches_it():
+    sweep = error_pairs_sweep([2, 0])
+    assert next(sweep) == error_pairs(2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next(sweep)

@@ -38,7 +38,7 @@ def assert_same_codebook(n, split_set=None, evaluate=True):
     pts = reference_points(n, split_set)
     alpha, reference = build_alpha(n, split_set), PointSet(n, pts)
     assert alpha == reference and hash(alpha) == hash(reference)
-    texts = _point_texts(n, alpha.den, alpha.feet, "%s,%s")
+    texts = _point_texts(n, alpha.den, alpha.feet, "%d/%d,%d/%d")
     assert list(texts) == list(alpha.feet)
     assert list(texts.values()) == [
         f"{p.x.numerator}/{p.x.denominator},{p.y.numerator}/{p.y.denominator}"
