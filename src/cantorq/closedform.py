@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .constraint import PointSet, rho, u_inverse
-from .measure import Word, centroid, centroid_numerators, words
+from .constraint import PointSet
+from .measure import Word, centroid_numerators, words
 
 _BITS = str.maketrans("12", "01")  # word i of words(l) is i in binary
 
@@ -96,22 +95,6 @@ def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
     """The codebook of n points on S_n generated by the given split set (None:
     the canonical one); n = 1 gives the single point (-1/4, 3/4)."""
     return PointSet.from_feet(n, 2 * 3 ** (level_of(n) + 1), feet_table(n)(split_set))
-
-
-# an enumeration of split sets at one n revisits its 3 * 2**l summands
-@lru_cache(maxsize=4096)
-def _summand(n: int, w: Word) -> Fraction:
-    a = centroid(w)
-    return Fraction(1, 2 ** len(w)) * rho(a, u_inverse(n, a))
-
-
-def a_term(n: int, split_set: Iterable[Word] | None = None) -> Fraction:
-    """The A-term V_n - U_n by direct summation over the words, an oracle
-    that does not use the foot identity."""
-    split = set(_checked_split_set(n, split_set))
-    return sum((_summand(n, w + "1") + _summand(n, w + "2") if i in split
-                else _summand(n, w) for i, w in enumerate(words(level_of(n)))),
-               Fraction(0))
 
 
 def unconstrained_error(n: int) -> Fraction:

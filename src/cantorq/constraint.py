@@ -53,11 +53,6 @@ class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
         return Fraction(num * self.j + den, den * self.j)
 
 
-def rho(x: Fraction, p: ConstraintPoint) -> Fraction:
-    """Squared distance from the real point x to the plane point p."""
-    return (x - p.x) ** 2 + p.y ** 2
-
-
 def point_numerators(n: int, den: int, feet) -> tuple[int, list[int], list[int]]:
     """The points of S_n whose feet are t/den, t in feet, as numerators over
     one denominator e: (e, abscissas, ordinates).  An abscissa is

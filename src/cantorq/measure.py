@@ -13,25 +13,15 @@ J_sigma = T_sigma([0, 1]) is the level-k basic interval (length 3**-k,
 mass 2**-k under the invariant measure), and the conditional mean of the
 measure on J_sigma is T_sigma(1/2).
 
-All arithmetic here is exact rational; no floats.
+All arithmetic here is exact integer; no floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator
 
 Word = str
-
-#: Mean of the Cantor distribution.
-MEAN = Fraction(1, 2)
-
-#: Variance of the Cantor distribution.
-VARIANCE = Fraction(1, 8)
-
-_ONE_THIRD = Fraction(1, 3)
-_TWO_THIRDS = Fraction(2, 3)
 
 
 def words(k: int) -> Iterator[Word]:
@@ -39,22 +29,6 @@ def words(k: int) -> Iterator[Word]:
     if k < 0:
         raise ValueError("word length must be >= 0")
     return map("".join, itertools.product("12", repeat=k))
-
-
-def apply_map(word: Word, x: Fraction) -> Fraction:
-    """Apply the composition T_word to x (empty word is the identity)."""
-    if not isinstance(word, str) or word.strip("12"):
-        raise ValueError(f"word letters must be 1 or 2, got {word!r}")
-    for letter in reversed(word):
-        x = x * _ONE_THIRD
-        if letter == "2":
-            x += _TWO_THIRDS
-    return x
-
-
-def centroid(word: Word) -> Fraction:
-    """Conditional mean of the measure on J_word; equals T_word(1/2)."""
-    return apply_map(word, MEAN)
 
 
 def centroid_numerators(k: int) -> list[int]:

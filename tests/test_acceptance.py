@@ -10,7 +10,6 @@ import pytest
 
 from cantorq.asymptotics import dimension_sequence
 from cantorq.closedform import (
-    a_term,
     admissible_split_sets,
     build_alpha,
     quantization_error,
@@ -25,14 +24,9 @@ from cantorq.oracle import (
     exact_distortion,
     lloyd_step,
 )
+from reference import a_term, power_of_two_error
 
 F = Fraction
-
-
-def power_of_two_error(level):
-    """V_n at n = 2**level: (1/16) (2**(3-2l) + 2**(3-l) + 9**-l + 3)."""
-    return F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
-                       + F(1, 9 ** level) + 3)
 
 
 @contextmanager

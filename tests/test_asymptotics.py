@@ -5,14 +5,9 @@ import pytest
 
 from cantorq.asymptotics import dimension_sequence, sample_at
 from cantorq.closedform import quantization_error
+from reference import power_of_two_error
 
 F = Fraction
-
-
-def power_of_two_error(level):
-    """V_n at n = 2**level: (1/16) (2**(3-2l) + 2**(3-l) + 9**-l + 3)."""
-    return F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
-                       + F(1, 9 ** level) + 3)
 
 
 def test_v_infinity_cross_checks():

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from cantorq.closedform import (
-    a_term,
     admissible_split_sets,
     build_alpha,
     canonical_split_set,
@@ -18,8 +17,9 @@ from cantorq.closedform import (
     unconstrained_error,
 )
 from cantorq.constraint import feasible_window, u_inverse
-from cantorq.measure import centroid, words
+from cantorq.measure import words
 from cantorq.oracle import exact_distortion
+from reference import a_term, centroid, power_of_two_error
 
 F = Fraction
 
@@ -81,18 +81,18 @@ def test_build_alpha_rejects_bad_split_sets():
     with pytest.raises(ValueError, match=r"^3 is not a word of length 1 over \{1,2\}$"):
         build_alpha(2, {"3"})          # bad letter
     with pytest.raises(ValueError, match=r"^1x is not a word of length 2 over \{1,2\}$"):
-        a_term(5, ["1x"])              # bad letter of the right length
+        build_alpha(5, ["1x"])         # bad letter of the right length
     with pytest.raises(ValueError, match=r"^\(1,\) is not a word of length 1 over \{1,2\}$"):
         build_alpha(3, {(1,)})         # a word is a string, not a tuple
     # a bare str is not read letter by letter, as {"1"} or {"2"}
-    for build, n, split_set in [(build_alpha, 5, "11"), (build_alpha, 3, "2"), (a_term, 3, "2")]:
+    for build, n, split_set in [(build_alpha, 5, "11"), (build_alpha, 3, "2")]:
         with pytest.raises(TypeError, match="^a split set is a collection of words, not a str$"):
             build(n, split_set)
 
 
 @pytest.mark.parametrize("build, n, split_set, word", [
     (build_alpha, 3, ["1", "1"], "1"),
-    (a_term, 5, ["11", "11"], "11"),
+    (build_alpha, 5, ["11", "11"], "11"),
 ])
 def test_repeated_split_word_is_refused(build, n, split_set, word):
     # merged into one, the repeated word would meet the n - 2**l count
@@ -180,9 +180,7 @@ def test_distortion_report_examples():
 
 @pytest.mark.parametrize("level", range(0, 13))
 def test_power_of_two_closed_form(level):
-    expected = F(1, 16) * (F(8, 4 ** level) + F(8, 2 ** level)
-                           + F(1, 9 ** level) + 3)
-    assert quantization_error(2 ** level) == expected
+    assert quantization_error(2 ** level) == power_of_two_error(level)
 
 
 def _graf_luschgy(n):

@@ -13,11 +13,11 @@ from cantorq.constraint import (
     PointSet,
     feasible_window,
     point_numerators,
-    rho,
     u_inverse,
 )
 from cantorq.measure import moment_numerators
 from cantorq.oracle import cell_measures, exact_distortion
+from reference import rho
 
 F = Fraction
 

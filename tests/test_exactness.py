@@ -1,6 +1,7 @@
-"""The exact modules use no floats: no float literal, no float() and no
-`math` function beyond the integer ones.  `asymptotics` is left out, because
-its final logarithms are floats by design."""
+"""The exact modules and the tests' `reference` use no floats: no float
+literal, no float() and no `math` function beyond the integer ones.
+`asymptotics` is left out, because its final logarithms are floats by
+design."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,10 @@ def float_uses(source: str) -> list[str]:
 def test_exact_modules_use_no_floats(name):
     path = Path(cantorq.__file__).parent / name
     assert float_uses(path.read_text()) == []
+
+
+def test_the_reference_uses_no_floats():
+    assert float_uses((Path(__file__).parent / "reference.py").read_text()) == []
 
 
 @pytest.mark.parametrize("source", [

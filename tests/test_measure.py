@@ -4,23 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorq.measure import (
-    MEAN,
-    VARIANCE,
-    apply_map,
-    centroid,
-    centroid_numerators,
-    moment_numerators,
-    words,
-)
+from cantorq.measure import centroid_numerators, moment_numerators, words
+from reference import MEAN, VARIANCE, apply_map, centroid, partial_moments
 
 F = Fraction
-
-
-def partial_moments(x):
-    """v(x) = (mass, M1, M2) of the measure on [0, x] as Fractions."""
-    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
-    return F(f, d), F(m1, d), F(m2, d)
 
 word_st = st.text("12", max_size=8)
 unit_st = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)

@@ -15,10 +15,9 @@ from cantorq.constraint import (
     PointSet,
     feasible_window,
     point_numerators,
-    rho,
     u_inverse,
 )
-from cantorq.measure import VARIANCE, centroid_numerators, moment_numerators
+from cantorq.measure import centroid_numerators
 from cantorq.oracle import (
     EmptyCellError,
     cell_measures,
@@ -26,14 +25,9 @@ from cantorq.oracle import (
     exact_distortion,
     lloyd_step,
 )
+from reference import VARIANCE, partial_moments, rho
 
 F = Fraction
-
-
-def partial_moments(x):
-    """v(x) = (mass, M1, M2) of the measure on [0, x] as Fractions."""
-    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
-    return F(f, d), F(m1, d), F(m2, d)
 
 
 def test_exact_distortion_one_point():
