@@ -29,13 +29,10 @@ class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
     __slots__ = ()
 
     def __new__(cls, j: int, x: Fraction | int):
-        if not (isinstance(j, int) and isinstance(x, (int, Fraction))):
-            raise TypeError(f"need an int j and an int or Fraction x: {j!r}, {x!r}")
-        if j < 1:
-            raise ValueError(f"constraint index must be >= 1, got {j}")
+        _check_pair(j, x, "x")
         if type(x) is not Fraction:
             x = Fraction(x)
-        num, den = x.numerator, x.denominator
+        num, den = x.as_integer_ratio()
         if not (-den <= j * num and num <= den):  # -1/j <= x <= 1
             raise ValueError(f"abscissa {x} outside S_{j} (needs -1/{j} <= x <= 1)")
         return tuple.__new__(cls, (j, x))
@@ -49,8 +46,19 @@ class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
 
     @property
     def y(self) -> Fraction:
-        num, den = self.x.numerator, self.x.denominator
-        return Fraction(num * self.j + den, den * self.j)
+        j, x = self
+        num, den = x.as_integer_ratio()
+        return Fraction(num * j + den, den * j)
+
+
+def _check_pair(j: int, v, name: str) -> None:
+    """Refuse a j that is not an int >= 1 and a v that is no int or Fraction; bools too."""
+    if not (type(j) is int and type(v) is Fraction  # the common case first
+            or bool not in (type(j), type(v)) and isinstance(j, int)
+            and isinstance(v, (int, Fraction))):
+        raise TypeError(f"need an int j and an int or Fraction {name}: {j!r}, {v!r}")
+    if j < 1:
+        raise ValueError(f"constraint index must be >= 1, got {j}")
 
 
 def point_numerators(n: int, den: int, feet) -> tuple[int, list[int], list[int]]:
@@ -68,9 +76,8 @@ def point_numerators(n: int, den: int, feet) -> tuple[int, list[int], list[int]]
 
 def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     """Point of S_j whose perpendicular foot is t; rejects t outside the image."""
-    if not isinstance(t, (int, Fraction)):
-        raise TypeError(f"foot must be an int or Fraction, got {t!r}")
-    num, den = t.numerator, t.denominator  # x = (t - 1/j) / 2
+    _check_pair(j, t, "t")
+    num, den = t.as_integer_ratio()  # x = (t - 1/j) / 2
     return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
 
 
@@ -88,10 +95,9 @@ def feet_of(n: int, points) -> tuple[int, list[int]]:
     for p in points:
         if p.j != n:
             raise ValueError(f"point {p} is not on S_{n}")
-        xs.append(p.x)
-    b = lcm(*(x.denominator for x in xs))
-    return n * b, [(2 * n * x.numerator + x.denominator) * (b // x.denominator)
-                   for x in xs]
+        xs.append(p.x.as_integer_ratio())
+    b, n2 = lcm(*[d for _, d in xs]), 2 * n
+    return n * b, [(n2 * u + d) * (b // d) for u, d in xs]
 
 
 class PointSet:
@@ -121,8 +127,8 @@ class PointSet:
         return ps
 
     def _store(self, n: int, den: int, feet) -> None:
-        if not isinstance(n, int):
-            raise TypeError(f"n must be an int, got {n!r}")
+        if bool in (type(n), type(den)) or not isinstance(n, int):
+            raise TypeError(f"n and den must be ints, got {n!r} and {den!r}")
         feet = tuple(feet)
         g = gcd(den, *feet)  # a TypeError unless all are ints
         if n < 1 or den < 1:
@@ -133,12 +139,12 @@ class PointSet:
             raise ValueError(f"expected {n} points, got {len(feet)}")
         if not all(map(lt, feet, feet[1:])):
             raise ValueError("abscissas must be strictly increasing")
-        for t in (feet[0], feet[-1]):
-            if not 0 <= t <= den:
-                e, (a,), _ = point_numerators(n, den, (t,))
-                lo, hi = feasible_window(n)
-                raise ValueError(
-                    f"abscissa {Fraction(a, e)} outside feasible window [{lo}, {hi}]")
+        if feet[0] < 0 or feet[-1] > den:  # feet increase: only an end can be out
+            t = feet[0] if feet[0] < 0 else feet[-1]
+            e, (a,), _ = point_numerators(n, den, (t,))
+            lo, hi = feasible_window(n)
+            raise ValueError(
+                f"abscissa {Fraction(a, e)} outside feasible window [{lo}, {hi}]")
         vars(self).update(n=n, den=den, feet=feet)
 
     @cached_property

@@ -19,7 +19,7 @@ All arithmetic here is exact integer; no floats.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Reversible
 
 Word = str
 
@@ -47,7 +47,7 @@ def centroid_numerators(k: int) -> list[int]:
     return nums
 
 
-def _unwind(digits: list[bool], f: int, m1: int, m2: int,
+def _unwind(digits: Reversible[bool], f: int, m1: int, m2: int,
             d: int) -> tuple[int, int, int, int]:
     """Apply the maps of an orbit's digits (True for t2), last digit first,
     to v = (f, m1, m2)/d; the image is (f, m1, m2, d) again.
@@ -86,25 +86,23 @@ def moment_numerators(p: int, q: int) -> tuple[int, int, int, int]:
         return 0, 0, 0, 1
     if p >= q:
         return 8, 4, 3, 8  # (1, 1/2, 3/8)
-    digits: list[bool] = []
-    seen: dict[int, int] = {}
-    while not q <= 3 * p <= 2 * q and p not in seen:
-        seen[p] = len(digits)
-        p *= 3
-        digits.append(p > q)
-        if p > q:
-            p -= 2 * q
-    if p in seen:
-        cycle, digits = digits[seen[p]:], digits[:seen[p]]
-        # the cycle maps (f, m1, m2)/d to (N (f, m1, m2) + d K/8)/(18**L d),
-        # L = len(cycle), N lower triangular; the fixed point solves
-        # (18**L - N)(f, m1, m2) = d K/8, and this d makes it integral
-        k0, k1, k2, top = _unwind(cycle, 0, 0, 0, 8)  # top = 8 * 18**L
-        n00, n10, n20, _ = _unwind(cycle, 1, 0, 0, 0)
-        _, n11, n21, _ = _unwind(cycle, 0, 1, 0, 0)
-        d0, d1, d2 = top // 8 - n00, top // 8 - n11, top // 8 - 1
-        d, g = 8 * d0 * d1 * d2, d0 * k1 + n10 * k0
-        f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + n20 * k0) + n21 * g
-    else:
-        f, m1, m2, d = 72, 12, 3, 144  # (1/2, 1/12, 1/48)
+    seen, q2 = {}, 2 * q  # each p of the orbit and its digit, True for t2
+    while p not in seen:
+        if (p3 := 3 * p) < q:
+            seen[p], p = False, p3
+        elif p3 > q2:
+            seen[p], p = True, p3 - q2
+        else:  # v on the middle third: (1/2, 1/12, 1/48)
+            return _unwind(seen.values(), 72, 12, 3, 144)
+    digits, i = list(seen.values()), list(seen).index(p)
+    cycle, digits = digits[i:], digits[:i]
+    # the cycle maps (f, m1, m2)/d to (N (f, m1, m2) + d K/8)/(18**L d),
+    # L = len(cycle), N lower triangular; the fixed point solves
+    # (18**L - N)(f, m1, m2) = d K/8, and this d makes it integral
+    k0, k1, k2, top = _unwind(cycle, 0, 0, 0, 8)  # top = 8 * 18**L
+    n00, n10, n20, _ = _unwind(cycle, 1, 0, 0, 0)
+    _, n11, n21, _ = _unwind(cycle, 0, 1, 0, 0)
+    d0, d1, d2 = top // 8 - n00, top // 8 - n11, top // 8 - 1
+    d, g = 8 * d0 * d1 * d2, d0 * k1 + n10 * k0
+    f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + n20 * k0) + n21 * g
     return _unwind(digits, f, m1, m2, d)

@@ -37,13 +37,14 @@ def _voronoi(n: int, points):
     points is a PointSet, or any other iterable of points on S_n, nonempty,
     none repeated, which is sorted by abscissa; either goes to the pass as
     feet.  Point i is (a_i, c_i)/e over one denominator e, from
-    constraint.point_numerators, and r_i = a_i**2 + c_i**2.  The cut between neighbours (a, c)/e and (b, d)/e,
-    a < b, is the generic 2-D bisector crossing of the real line
-    (r_b - r_a) / (2e(b - a)), given to the kernel unreduced.  Every kernel
-    value is brought to one denominator den, so each cell's (mass, M1, M2) are
-    integer differences.  A frozen PointSet keeps its pass in its instance
-    dict under "_pass", as functools.cached_property does, unseen by its
-    equality, hash and repr; any other input is integrated on every call.
+    constraint.point_numerators, and r_i = a_i**2 + c_i**2.  The cut between
+    neighbours (a, c)/e and (b, d)/e, a < b, is the generic 2-D bisector
+    crossing of the real line (r_b - r_a) / (2e(b - a)), given to the kernel
+    unreduced, as are the ends 0 and 1.  Each cell's (mass, M1, M2) is the
+    difference of its ends' kernel values over one denominator den.  A
+    frozen PointSet keeps its pass in its instance dict under "_pass", as
+    functools.cached_property does, unseen by its equality, hash and repr;
+    any other input is integrated on every call.
     """
     if isinstance(points, PointSet):
         if points.n != n:
@@ -62,22 +63,27 @@ def _voronoi(n: int, points):
                 e, (a,), _ = point_numerators(n, fden, (t1,))
                 raise ValueError(f"duplicate abscissa {Fraction(a, e)}")
     e, a, c = point_numerators(n, fden, feet)
-    r = [u * u + v * v for u, v in zip(a, c)]
-    cuts = [(r1 - r0, 2 * e * (a1 - a0)) for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:])]
-    ends = [moment_numerators(p, q) for p, q in [(0, 1), *cuts, (1, 1)]]
-    den = lcm(*(d for *_, d in ends))
-    vs = [(f * (k := den // d), m1 * k, m2 * k) for f, m1, m2, d in ends]
-    cells = [(f1 - f0, g1 - g0, h1 - h0)
-             for (f0, g0, h0), (f1, g1, h1) in zip(vs, vs[1:])]
-    memo["_pass"] = result = e, a, r, cells, den
+    r, e2 = [u * u + v * v for u, v in zip(a, c)], 2 * e
+    ends = [moment_numerators(0, 1)]
+    for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:]):
+        ends.append(moment_numerators(r1 - r0, e2 * (a1 - a0)))
+    ends.append(moment_numerators(1, 1))
+    den = lcm(*[d for _, _, _, d in ends])
+    cells, f0, g0, h0 = [], 0, 0, 0  # cells[0] is v(0) itself, not a cell
+    for f, g, h, d in ends:
+        f, g, h = f * (k := den // d), g * k, h * k
+        cells.append((f - f0, g - g0, h - h0))
+        f0, g0, h0 = f, g, h
+    memo["_pass"] = result = e, a, r, cells[1:], den
     return result
 
 
 def _distortion(e: int, a, r, cells, den: int) -> Fraction:
     """The sum of M2 - 2x M1 + (x**2 + y**2) mass over cells (mass, M1, M2)
     / den, each for its point (x, y) = (a_i, c_i) / e, r_i = a_i**2 + c_i**2."""
-    return Fraction(sum(e * e * m2 - 2 * e * u * m1 + ru * mass
-                        for u, ru, (mass, m1, m2) in zip(a, r, cells)), e * e * den)
+    ee, e2 = e * e, 2 * e
+    return Fraction(sum([ee * m2 - e2 * u * m1 + ru * mass
+                         for u, ru, (mass, m1, m2) in zip(a, r, cells)]), ee * den)
 
 
 def exact_distortion(n: int, points) -> Fraction:
@@ -93,7 +99,7 @@ def exact_distortion(n: int, points) -> Fraction:
 
 def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
-    *_, cells, den = _voronoi(n, points)
+    _, _, _, cells, den = _voronoi(n, points)
     return [Fraction(mass, den) for mass, _, _ in cells]
 
 
@@ -104,15 +110,15 @@ def lloyd_step(n: int, points) -> PointSet:
     e, a, _, cells, _ = _voronoi(n, points)
     if len(a) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(a)}")
-    feet = []  # each foot m1/mass in lowest terms
-    for u, (mass, m1, _) in zip(a, cells):
+    nums, dens = [], []  # each foot m1/mass in lowest terms
+    for mass, m1, _ in cells:
         if mass == 0:
-            raise EmptyCellError(
-                f"cell of point {ConstraintPoint(n, Fraction(u, e))} has zero measure")
-        g = gcd(m1, mass)
-        feet.append((m1 // g, mass // g))
-    fden = lcm(*(d for _, d in feet))
-    new = PointSet.from_feet(n, fden, [t * (fden // d) for t, d in feet])
+            p = ConstraintPoint(n, Fraction(a[len(nums)], e))  # this cell's point
+            raise EmptyCellError(f"cell of point {p} has zero measure")
+        nums.append(m1 // (g := gcd(m1, mass)))
+        dens.append(mass // g)
+    fden = lcm(*dens)
+    new = PointSet.from_feet(n, fden, [t * (fden // d) for t, d in zip(nums, dens)])
     return points if new == points else new
 
 

@@ -79,6 +79,35 @@ def test_a_float_is_refused_never_made_a_rational(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ConstraintPoint(True, F(1, 2)), id="bool-index"),
+    pytest.param(lambda: ConstraintPoint(2, True), id="bool-abscissa"),
+    pytest.param(lambda: ConstraintPoint(2, F(0))._replace(j=True), id="bool-index-replace"),
+    pytest.param(lambda: u_inverse(2, True), id="bool-foot"),
+    pytest.param(lambda: u_inverse(True, F(1, 2)), id="bool-index-foot"),
+    pytest.param(lambda: PointSet(True, [ConstraintPoint(1, F(0))]), id="bool-n"),
+    pytest.param(lambda: PointSet.from_feet(True, 2, (1,)), id="bool-n-feet"),
+    pytest.param(lambda: PointSet.from_feet(1, True, (1,)), id="bool-den"),
+])
+def test_a_bool_is_refused_never_made_an_int(make):
+    # True == 1, so a bool would pass every range check and show in a repr
+    with pytest.raises(TypeError, match=" True"):
+        make()
+
+
+@pytest.mark.parametrize("j, error, message", [
+    (0, ValueError, "^constraint index must be >= 1, got 0$"),
+    (-3, ValueError, "^constraint index must be >= 1, got -3$"),
+    (2.0, TypeError, r"^need an int j and an int or Fraction t: 2\.0, Fraction\(1, 2\)$"),
+    ("2", TypeError, r"^need an int j and an int or Fraction t: '2', Fraction\(1, 2\)$"),
+])
+def test_u_inverse_checks_its_index_before_any_arithmetic(j, error, message):
+    # u_inverse(0, t) once divided by zero, and a float or str j failed
+    # inside the arithmetic
+    with pytest.raises(error, match=message):
+        u_inverse(j, F(1, 2))
+
+
 def test_a_point_is_its_checked_pair():
     p = ConstraintPoint(2, F(-1, 4))
     assert repr(p) == "ConstraintPoint(j=2, x=Fraction(-1, 4))"

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -197,7 +199,8 @@ def test_one_pass_per_codebook(monkeypatch):
 def test_empty_cell_error():
     # middle cell sits entirely inside the gap (1/3, 2/3)
     pts = [u_inverse(3, F(2, 5)), u_inverse(3, F(21, 50)), u_inverse(3, F(22, 50))]
-    with pytest.raises(EmptyCellError):
+    with pytest.raises(EmptyCellError, match=re.escape(
+            f"cell of point {pts[1]} has zero measure")):
         lloyd_step(3, pts)
 
 
@@ -270,6 +273,36 @@ def test_lloyd_descent_from_random_starts(n):
             continue
         assert after <= before
         assert after >= optimum
+
+
+def seeded_descent_digest() -> str:
+    """SHA-256 of seeded Lloyd descents: two starts of n distinct level-k
+    centroids for each n = 2..24, k cycling through 5..8, each taken through
+    three Lloyd steps.  Every step adds its points, exact distortion and cell
+    masses as p/q text."""
+    def text(v):
+        return f"{v.numerator}/{v.denominator}"
+
+    digest = hashlib.sha256()
+    for n in range(2, 25):
+        for j in range(2):
+            k = 5 + (n + 2 * j) % 4
+            rng = random.Random(f"descent-digest:{k}:{n}:{j}")
+            nums = sorted(rng.sample(centroid_numerators(k), n))
+            ps = PointSet(n, tuple(u_inverse(n, F(a, 2 * 3 ** k)) for a in nums))
+            for step in range(4):
+                row = [text(v) for p in ps.points for v in (p.x, p.y)]
+                row.append(text(exact_distortion(n, ps)))
+                row.extend(map(text, cell_measures(n, ps)))
+                digest.update((" ".join(row) + "\n").encode())
+                if step < 3:
+                    ps = lloyd_step(n, ps)
+    return digest.hexdigest()
+
+
+def test_seeded_descents_are_unchanged():
+    assert seeded_descent_digest() == (
+        "e355401650d12346888af2ebe5dfe1c45482137c29b1460e858b218e764f3705")
 
 
 def test_dp_examples():
