@@ -53,13 +53,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _parse_split_selector(selector: str, n: int):
-    """Returns the split sets to use for n; closedform checks the words."""
+def _parse_split_selector(selector: str, n: int, l: int):
+    """The split sets to use for n at level l, as sorted word indices."""
     if selector == "canonical":
-        return [closedform.canonical_split_set(n)]
+        return [range(n - 2 ** l)]
     if selector == "all":
         return closedform.admissible_split_sets(n)
-    return [[w for token in selector.split(",") if (w := token.strip())]]
+    return [closedform.parse_split_set(  # typed words, the only ones checked
+        n, [w for token in selector.split(",") if (w := token.strip())])]
 
 
 class _Raw(str):
@@ -126,7 +127,7 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
     text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     write(f"# command={args.command} {text}\r\n")
     # no field needs quoting: each is an int, a bool, a "p/q", a float, a
-    # header name or checked split words over {1, 2} joined by "+"
+    # header name or split words over {1, 2}, printed from indices, joined by "+"
     write(",".join(header) + "\r\n")
     for row in rows:
         write(",".join(map(str, row)) + "\r\n")
@@ -138,10 +139,11 @@ def cmd_optimal_set(args) -> int:
             and closedform.count_optimal_sets(n) * n > MAX_RECORD_ROWS):
         return _usage_error(f"--split-set all at n={n} gives more than "
                             f"{MAX_RECORD_ROWS} point rows")
-    den = 2 * 3 ** (closedform.level_of(n) + 1)  # feet_table's
-    try:  # (split words, feet over den) of each codebook, from one table
-        sets = [(sorted(ss), feet(ss)) for feet in [closedform.feet_table(n)]
-                for ss in _parse_split_selector(args.split_set, n)]
+    l = closedform.level_of(n)
+    den = 2 * 3 ** (l + 1)  # feet_table's
+    try:  # (split set, feet over den) of each codebook, from one table
+        sets = [(ss, feet(ss)) for feet in [closedform.feet_table(n)]
+                for ss in _parse_split_selector(args.split_set, n, l)]
     except ValueError as exc:
         return _usage_error(str(exc))
     # V_n, U_n and a_term = V_n - U_n are the same for every split set
@@ -153,13 +155,15 @@ def cmd_optimal_set(args) -> int:
         if args.format == "json" else "%d/%d,%d/%d"))
     if args.format == "json":  # one entry per set, its points nested
         header = ["split_set", "points", "total", "variance_term", "a_term"]
-        rows = ([ws, _Raw("[%s\n        ]" % ",".join(map(text.get, feet))), *errors]
-                for ws, feet in sets)
+        rows = ([[closedform.split_word(l, i) for i in ss],
+                 _Raw("[%s\n        ]" % ",".join(map(text.get, feet))), *errors]
+                for ss, feet in sets)
     else:  # one row per point
         header = ["set_index", "split_set", "point_index", "x", "y",
                   "total", "variance_term", "a_term"]
         rows = ([idx, joined, pidx, text[t], *errors]
-                for idx, (ws, feet) in enumerate(sets) for joined in ["+".join(ws)]
+                for idx, (ss, feet) in enumerate(sets)
+                for joined in ["+".join([closedform.split_word(l, i) for i in ss])]
                 for pidx, t in enumerate(feet))
     _emit(args, header, rows, "sets")
     return 0

@@ -22,9 +22,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .constraint import PointSet
-from .measure import Word, centroid_numerators, words
-
-_BITS = str.maketrans("12", "01")  # word i of words(l) is i in binary
+from .measure import centroid_numerators
 
 
 def level_of(n: int) -> int:
@@ -40,32 +38,28 @@ def count_optimal_sets(n: int) -> int:
     return comb(2 ** l, n - 2 ** l)
 
 
-def canonical_split_set(n: int) -> frozenset[Word]:
-    """The lexicographically smallest n - 2**l words of {1,2}**l."""
+def admissible_split_sets(n: int) -> Iterator[tuple[int, ...]]:
+    """All split sets admissible for n, as sorted word indices, in
+    lexicographic order; the first, range(n - 2**l), is the canonical one."""
     l = level_of(n)
-    return frozenset(itertools.islice(words(l), n - 2 ** l))
+    return itertools.combinations(range(2 ** l), n - 2 ** l)
 
 
-def admissible_split_sets(n: int) -> Iterator[frozenset[Word]]:
-    """All split sets admissible for n, in lexicographic order."""
-    l = level_of(n)
-    for combo in itertools.combinations(words(l), n - 2 ** l):
-        yield frozenset(combo)
+def split_word(l: int, i: int) -> str:
+    """Word i of level l, to print a split set: i's l binary digits over {1, 2}."""
+    return bin(i | 1 << l)[3:].replace("1", "2").replace("0", "1")
 
 
-def _checked_split_set(n: int, split_set) -> list[int] | range:
-    """The sorted indices in words(l) of the words of a split set at n
-    (None: the canonical set)."""
+def parse_split_set(n: int, split_set: Iterable[str]) -> list[int]:
+    """Checks the words of a split set at n and returns their sorted indices."""
     if isinstance(split_set, str):
         raise TypeError("a split set is a collection of words, not a str")
     l = level_of(n)
-    if split_set is None:
-        return range(n - 2 ** l)
     checked: set[int] = set()
     for w in split_set:
         if not isinstance(w, str) or len(w) != l or w.strip("12"):
             raise ValueError(f"{w} is not a word of length {l} over {{1,2}}")
-        if (i := int("0" + w.translate(_BITS), 2)) in checked:
+        if (i := int("0" + w.replace("1", "0").replace("2", "1"), 2)) in checked:
             raise ValueError(f"repeated word {w}")
         checked.add(i)
     if len(checked) != n - 2 ** l:
@@ -74,27 +68,29 @@ def _checked_split_set(n: int, split_set) -> list[int] | range:
     return sorted(checked)
 
 
-def feet_table(n: int) -> Callable[[Iterable[Word] | None], list[int]]:
-    """The map from a split set at n (None: the canonical one) to the feet of
-    its codebook over 2 * 3**(l + 1), from one table of the level's centroids:
-    word i of words(l) gives its centroid or, if split, its children's,
-    numerators 2i and 2i+1 of centroid_numerators(l + 1), whose mean is its
-    own; words come in position order, so the feet need no sort."""
+def feet_table(n: int) -> Callable[[Iterable[int]], list[int]]:
+    """The map from a split set at n to the feet of its codebook over
+    2 * 3**(l + 1), from one table of the level's centroids: word i gives its
+    centroid or, if split, its children's, numerators 2i and 2i+1 of
+    centroid_numerators(l + 1), whose mean is its own.  The set is unchecked:
+    n - 2**l distinct indices of range(2**l), sorted, so the feet are too."""
     nums = centroid_numerators(level_of(n) + 1)  # all odd
     means = [(left + right) // 2 for left, right in zip(nums[::2], nums[1::2])]
-    def feet(split_set: Iterable[Word] | None = None) -> list[int]:
+    def feet(split_set: Iterable[int]) -> list[int]:
         out, start = [], 0
-        for i in _checked_split_set(n, split_set):
+        for i in split_set:
             out += means[start:i] + nums[2 * i:2 * i + 2]
             start = i + 1
         return out + means[start:]
     return feet
 
 
-def build_alpha(n: int, split_set: Iterable[Word] | None = None) -> PointSet:
-    """The codebook of n points on S_n generated by the given split set (None:
-    the canonical one); n = 1 gives the single point (-1/4, 3/4)."""
-    return PointSet.from_feet(n, 2 * 3 ** (level_of(n) + 1), feet_table(n)(split_set))
+def build_alpha(n: int, split_set: Iterable[str] | None = None) -> PointSet:
+    """The codebook of n points on S_n generated by the given split words
+    (None: the canonical set); n = 1 gives the single point (-1/4, 3/4)."""
+    l = level_of(n)
+    ss = range(n - 2 ** l) if split_set is None else parse_split_set(n, split_set)
+    return PointSet.from_feet(n, 2 * 3 ** (l + 1), feet_table(n)(ss))
 
 
 def unconstrained_error(n: int) -> Fraction:

@@ -81,16 +81,24 @@ def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
 
 
-def feasible_window(n: int) -> tuple[Fraction, Fraction]:
-    """Abscissa range of points whose perpendicular foot lies in [0, 1]."""
+def check_n(n: int) -> None:
+    """Refuse an n that is not an int >= 1, a bool too, before any use of it."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def feasible_window(n: int) -> tuple[Fraction, Fraction]:
+    """Abscissa range of points whose perpendicular foot lies in [0, 1]."""
+    check_n(n)
     return (-Fraction(1, 2 * n), Fraction(1, 2) - Fraction(1, 2 * n))
 
 
 def feet_of(n: int, points) -> tuple[int, list[int]]:
     """The feet of points on S_n, in their order, as integers over one
     denominator: (den, feet)."""
+    check_n(n)
     xs = []
     for p in points:
         if p.j != n:

@@ -18,17 +18,7 @@ All arithmetic here is exact integer; no floats.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Reversible
-
-Word = str
-
-
-def words(k: int) -> Iterator[Word]:
-    """All words of length k in lexicographic order."""
-    if k < 0:
-        raise ValueError("word length must be >= 0")
-    return map("".join, itertools.product("12", repeat=k))
+from typing import Reversible
 
 
 def centroid_numerators(k: int) -> list[int]:

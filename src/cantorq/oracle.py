@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .constraint import ConstraintPoint, PointSet, feet_of, point_numerators
+from .constraint import ConstraintPoint, PointSet, check_n, feet_of, point_numerators
 from .measure import centroid_numerators, moment_numerators
 
 
@@ -46,6 +46,7 @@ def _voronoi(n: int, points):
     functools.cached_property does, unseen by its equality, hash and repr;
     any other input is integrated on every call.
     """
+    check_n(n)
     if isinstance(points, PointSet):
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
@@ -158,8 +159,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     smallest boundaries.  The distortion of each group comes from prefix
     sums of the numerators and the total of their squares.
     """
-    if max_n < 1:
-        raise ValueError("n must be >= 1")
+    check_n(max_n)
     if level < 1:
         raise ValueError("level must be >= 1")
     m = 2 ** level

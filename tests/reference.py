@@ -1,10 +1,11 @@
 """Word-by-word `Fraction` reference the tests check the package against.
 
-The Cantor maps and centroids (words as in `cantorq.measure`: the first
-letter is the map applied last), the squared distance `rho` from a real
-point to a point of a constraint segment, and the A-term V_n - U_n summed
-over the words, which does not use the foot identity of `closedform`.  Also
-the Fraction views of the integer kernel and of V_n at powers of two.
+The words of a level in lexicographic order, the Cantor maps and centroids
+(words as in `cantorq.measure`: the first letter is the map applied last),
+the squared distance `rho` from a real point to a point of a constraint
+segment, and the A-term V_n - U_n summed over the words, which does not
+use the foot identity of `closedform`.  Also the Fraction views of the
+integer kernel and of V_n at powers of two.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from cantorq.closedform import level_of
 from cantorq.constraint import ConstraintPoint, u_inverse
-from cantorq.measure import Word, moment_numerators, words
+from cantorq.measure import moment_numerators
 
 F = Fraction
+Word = str
 
 #: Mean of the Cantor distribution.
 MEAN = F(1, 2)
@@ -27,6 +30,13 @@ VARIANCE = F(1, 8)
 
 _ONE_THIRD = F(1, 3)
 _TWO_THIRDS = F(2, 3)
+
+
+def words(k: int) -> Iterator[Word]:
+    """All words of length k in lexicographic order."""
+    if k < 0:
+        raise ValueError("word length must be >= 0")
+    return map("".join, itertools.product("12", repeat=k))
 
 
 def apply_map(word: Word, x: Fraction) -> Fraction:

@@ -12,7 +12,9 @@ from cantorq.asymptotics import dimension_sequence
 from cantorq.closedform import (
     admissible_split_sets,
     build_alpha,
+    level_of,
     quantization_error,
+    split_word,
     unconstrained_error,
 )
 from cantorq.constraint import u_inverse
@@ -65,7 +67,7 @@ def test_criterion_04_split_set_independence():
     with budget("4 split-set independence", 30):
         for n in range(2, 33):
             variance = unconstrained_error(n)
-            totals = {variance + a_term(n, ss)
+            totals = {variance + a_term(n, {split_word(level_of(n), i) for i in ss})
                       for ss in admissible_split_sets(n)}
             assert len(totals) == 1
             assert totals.pop() == quantization_error(n)

@@ -362,6 +362,8 @@ GOLDEN = [
     # the sizes the benchmark's `tables` workload runs
     ("error-table --max-n 2003 --format csv", 0,
      "816b4f17ab61b3720c9a440690c5a32e5c9f57085a9f75f19d2d99695047072f"),
+    ("optimal-set --n 2100", 0,
+     "7039cb13a8846cad4b62b156fce91342608e642ac2e50059be5f9646e536ceb4"),
     ("optimal-set --n 2101", 0,
      "c4497eb3dafb01c7748e1bd9e3cec3938ea5d4fd81eff1ff70a4b7c06e363c56"),
     ("asymptotics --kind dimension --max-level 1024", 0,
@@ -406,6 +408,30 @@ def test_records_are_byte_identical(capsys, argv, code, digest):
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ""
+
+
+def test_only_typed_split_words_are_parsed(capsys, monkeypatch):
+    # the canonical set and --split-set all are word indices from the start,
+    # so their records come out with the parser refusing every call; typed
+    # words are parsed once, as one set
+    digests, calls = {argv: digest for argv, _, digest in GOLDEN}, []
+    parse = closedform.parse_split_set
+
+    def refuse(n, split_set):
+        raise AssertionError(f"words parsed at n={n}: {split_set}")
+
+    monkeypatch.setattr(closedform, "parse_split_set", refuse)
+    for argv in ("optimal-set --n 20 --split-set all", "optimal-set --n 2100"):
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+    monkeypatch.setattr(closedform, "parse_split_set",
+                        lambda *args: calls.append(args) or parse(*args))
+    argv = "optimal-set --n 7 --split-set 22,11,21"
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+    assert calls == [(7, ["22", "11", "21"])]
 
 
 def _run_captured(argv):

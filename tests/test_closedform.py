@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -7,19 +8,19 @@ import pytest
 from cantorq.closedform import (
     admissible_split_sets,
     build_alpha,
-    canonical_split_set,
     count_optimal_sets,
     error_pairs,
     error_pairs_sweep,
     feet_table,
     level_of,
+    parse_split_set,
     quantization_error,
+    split_word,
     unconstrained_error,
 )
 from cantorq.constraint import feasible_window, u_inverse
-from cantorq.measure import words
 from cantorq.oracle import exact_distortion
-from reference import a_term, centroid, power_of_two_error
+from reference import a_term, centroid, power_of_two_error, words
 
 F = Fraction
 
@@ -39,17 +40,36 @@ def test_count_optimal_sets():
     assert count_optimal_sets(24) == comb(16, 8)
 
 
-def test_canonical_split_set_is_lex_smallest():
-    assert canonical_split_set(4) == frozenset()
-    assert canonical_split_set(3) == frozenset({"1"})
-    assert canonical_split_set(6) == frozenset({"11", "12"})
+def spelled(n, split_set):
+    """The words of a split set of word indices at n."""
+    return [split_word(level_of(n), i) for i in split_set]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 12])
+@pytest.mark.parametrize("l", range(11))
+def test_an_index_prints_as_its_word_and_parses_back(l):
+    # word i of words(l) is split_word(l, i), and the parser reads it as i
+    # (at level 0, n = 1 splits no word)
+    for i, w in enumerate(words(l)):
+        assert split_word(l, i) == w
+        assert l == 0 or parse_split_set(2 ** l + 1, [w]) == [i]
+    assert parse_split_set(2 ** (l + 1) - 1, list(words(l))[:0:-1]) == list(
+        range(1, 2 ** l))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
 def test_admissible_split_sets_enumeration(n):
-    sets = list(admissible_split_sets(n))
-    assert len(sets) == count_optimal_sets(n)
-    assert len(set(sets)) == len(sets)
+    # the k-subsets of range(2**l) in lexicographic order, which print as the
+    # k-subsets of words(l) in theirs; the first, the canonical set, is the
+    # k smallest words.  Past 2**16 sets (n = 37..40) only the first 2**12
+    l, k = level_of(n), n - 2 ** level_of(n)
+    size = count if (count := count_optimal_sets(n)) <= 2 ** 16 else 2 ** 12
+    sets = list(itertools.islice(admissible_split_sets(n), size))
+    assert sets == list(itertools.islice(itertools.combinations(range(2 ** l), k), size))
+    assert [tuple(spelled(n, ss)) for ss in sets] == list(
+        itertools.islice(itertools.combinations(words(l), k), size))
+    assert sets[0] == tuple(range(k))
+    if n in (3, 4, 6):  # the canonical sets, spelled out
+        assert spelled(n, sets[0]) == {3: ["1"], 4: [], 6: ["11", "12"]}[n]
 
 
 def test_build_alpha_two_points():
@@ -105,7 +125,7 @@ def test_build_alpha_matches_word_by_word_construction(n):
     # the pullbacks of the unsplit centroids and the split words' children,
     # each centroid from the maps, sorted by abscissa
     l = level_of(n)
-    for ss in admissible_split_sets(n):
+    for ss in map(spelled, itertools.repeat(n), admissible_split_sets(n)):
         feet = [centroid(w + c) for w in words(l)
                 for c in (["1", "2"] if w in ss else [""])]
         expected = sorted(u_inverse(n, t).x for t in feet)
@@ -131,24 +151,28 @@ def test_build_alpha_window_compliance(n):
 @pytest.mark.parametrize("n", [*range(1, 13), 18, 20])
 def test_one_level_table_gives_every_codebook(n):
     # each split set's feet over 2 * 3**(l+1) from one table, in any order
-    # and again, are build_alpha's codebook; None is the canonical set
+    # and again, are build_alpha's codebook of its words, given in any order;
+    # build_alpha's canonical set is the first
     feet, den = feet_table(n), 2 * 3 ** (level_of(n) + 1)
     sets = list(admissible_split_sets(n))
-    for ss in [*sets, *reversed(sets), None, canonical_split_set(n)]:
-        alpha = build_alpha(n, ss)
-        assert feet(ss) == [t * (den // alpha.den) for t in alpha.feet]
-    assert feet(None) == feet(canonical_split_set(n)) == feet(sorted(sets[0]))
+    for ss in [*sets, *reversed(sets)]:
+        for ws in (spelled(n, ss), spelled(n, ss)[::-1]):
+            alpha = build_alpha(n, ws)
+            assert feet(ss) == [t * (den // alpha.den) for t in alpha.feet]
+    assert build_alpha(n) == build_alpha(n, spelled(n, sets[0]))
+    assert feet(sets[0]) == feet(range(n - 2 ** level_of(n)))
 
 
 def test_a_refused_split_set_leaves_the_table_as_it_was():
+    # the parser refuses the words; the table, which checks nothing, is the same
     feet = feet_table(6)
-    expected = feet({"12", "21"})
+    expected = feet(parse_split_set(6, {"12", "21"}))
     for bad, error in [({"12"}, "^split set must have 2 words for n=6, got 1$"),
                        (["21", "21"], "^repeated word 21$"),
                        (["11", "13"], r"^13 is not a word of length 2 over \{1,2\}$")]:
         with pytest.raises(ValueError, match=error):
-            feet(bad)
-    assert feet(["21", "12"]) == expected
+            parse_split_set(6, bad)
+    assert feet(parse_split_set(6, ["21", "12"])) == feet([1, 2]) == expected
     # over 54: the means 3 and 51 of 11 and 22, the children 13, 17 and 37, 41
     assert expected == [3, 13, 17, 37, 41, 51]
 
@@ -210,7 +234,7 @@ def test_split_set_independence(n):
     # every split set's codebook, integrated exactly, gives V_n
     v = quantization_error(n)
     for ss in admissible_split_sets(n):
-        assert exact_distortion(n, build_alpha(n, ss)) == v
+        assert exact_distortion(n, build_alpha(n, spelled(n, ss))) == v
 
 
 def test_error_sequence_monotone_and_bounded():

@@ -14,9 +14,10 @@ import pytest
 
 from cantorq import oracle
 from cantorq.cli import _point_texts
-from cantorq.closedform import admissible_split_sets, build_alpha, level_of
+from cantorq.closedform import admissible_split_sets, build_alpha, level_of, split_word
 from cantorq.constraint import ConstraintPoint, PointSet
-from cantorq.measure import centroid_numerators, words
+from cantorq.measure import centroid_numerators
+from reference import words
 
 F = Fraction
 
@@ -71,7 +72,7 @@ def test_canonical_codebooks_match_the_fraction_reference(block):
 @pytest.mark.parametrize("n", range(1, 19))
 def test_every_split_set_matches_the_fraction_reference(n):
     for split_set in admissible_split_sets(n):
-        assert_same_codebook(n, split_set)
+        assert_same_codebook(n, [split_word(level_of(n), i) for i in split_set])
 
 
 @pytest.mark.parametrize("n", [2 ** 12, 2 ** 12 + 1, 2 ** 13 - 1, 2 ** 16])

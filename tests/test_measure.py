@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorq.measure import centroid_numerators, moment_numerators, words
-from reference import MEAN, VARIANCE, apply_map, centroid, partial_moments
+from cantorq.measure import centroid_numerators, moment_numerators
+from reference import MEAN, VARIANCE, apply_map, centroid, partial_moments, words
 
 F = Fraction
 

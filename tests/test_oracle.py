@@ -230,6 +230,29 @@ def test_one_intake_for_the_three_evaluators(evaluate):
             evaluate(3, bad)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda pts: exact_distortion("2", pts), TypeError,
+                 "^n must be an int, got '2'$", id="exact_distortion-str"),
+    pytest.param(lambda pts: PointSet("2", pts), TypeError,
+                 "^n must be an int, got '2'$", id="PointSet-str"),
+    pytest.param(lambda pts: cell_measures(2.0, pts), TypeError,
+                 "^n must be an int, got 2.0$", id="cell_measures-float"),
+    pytest.param(lambda _: exact_distortion(True, [ConstraintPoint(1, F(0))]),
+                 TypeError, "^n must be an int, got True$", id="exact_distortion-bool"),
+    pytest.param(lambda _: lloyd_step(True, build_alpha(1)), TypeError,
+                 "^n must be an int, got True$", id="lloyd_step-bool"),
+    pytest.param(lambda _: dp_optimal_upto(True, 3), TypeError,
+                 "^n must be an int, got True$", id="dp_optimal_upto-bool"),
+    pytest.param(lambda pts: exact_distortion(0, pts), ValueError,
+                 "^n must be >= 1$", id="exact_distortion-zero"),
+])
+def test_n_is_checked_before_it_is_used(call, error, message):
+    # once, at the intake of the oracles and of PointSet(n, points), for
+    # points on S_2 that a wrong n would otherwise misread or misreport
+    with pytest.raises(error, match=message):
+        call(build_alpha(2).points)
+
+
 @pytest.mark.parametrize("n", range(1, 33))
 def test_lloyd_fixed_point_at_optimum(n):
     alpha = build_alpha(n)
