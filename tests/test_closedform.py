@@ -68,8 +68,15 @@ def test_admissible_split_sets_enumeration(n):
     assert [tuple(spelled(n, ss)) for ss in sets] == list(
         itertools.islice(itertools.combinations(words(l), k), size))
     assert sets[0] == tuple(range(k))
-    if n in (3, 4, 6):  # the canonical sets, spelled out
-        assert spelled(n, sets[0]) == {3: ["1"], 4: [], 6: ["11", "12"]}[n]
+
+
+def test_canonical_split_set_is_lex_smallest():
+    # the first admissible set, spelled out, is the k smallest words
+    def canonical(n):
+        return frozenset(spelled(n, next(iter(admissible_split_sets(n)))))
+    assert canonical(4) == frozenset()
+    assert canonical(3) == frozenset({"1"})
+    assert canonical(6) == frozenset({"11", "12"})
 
 
 def test_build_alpha_two_points():
