@@ -53,10 +53,10 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _parse_split_selector(selector: str, n: int, l: int):
-    """The split sets to use for n at level l, as sorted word indices."""
+def _parse_split_selector(selector: str, n: int):
+    """The split sets to use for n, as sorted word indices."""
     if selector == "canonical":
-        return [range(n - 2 ** l)]
+        return [next(closedform.admissible_split_sets(n))]
     if selector == "all":
         return closedform.admissible_split_sets(n)
     return [closedform.parse_split_set(  # typed words, the only ones checked
@@ -143,7 +143,7 @@ def cmd_optimal_set(args) -> int:
     den = 2 * 3 ** (l + 1)  # feet_table's
     try:  # (split set, feet over den) of each codebook, from one table
         sets = [(ss, feet(ss)) for feet in [closedform.feet_table(n)]
-                for ss in _parse_split_selector(args.split_set, n, l)]
+                for ss in _parse_split_selector(args.split_set, n)]
     except ValueError as exc:
         return _usage_error(str(exc))
     # V_n, U_n and a_term = V_n - U_n are the same for every split set

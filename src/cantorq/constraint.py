@@ -83,7 +83,7 @@ def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
 
 def check_n(n: int) -> None:
     """Refuse an n that is not an int >= 1, a bool too, before any use of it."""
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -46,8 +46,8 @@ def _voronoi(n: int, points):
     functools.cached_property does, unseen by its equality, hash and repr;
     any other input is integrated on every call.
     """
-    check_n(n)
     if isinstance(points, PointSet):
+        check_n(n)  # feet_of checks it for any other input
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
         # PointSet guarantees strictly increasing feet
