@@ -17,6 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import closedform
+from .constraint import check_n
 
 
 class AsymptoticSample(NamedTuple):
@@ -25,12 +26,6 @@ class AsymptoticSample(NamedTuple):
     excess: tuple[int, int]
     dim_estimate: float
     coeff_estimate: float
-
-
-def sample_at(n: int) -> AsymptoticSample:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return _sample(n, closedform.error_pairs(n))
 
 
 def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
@@ -42,7 +37,6 @@ def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
 
 def dimension_sequence(max_level: int) -> list[AsymptoticSample]:
     """Samples at n = 2**l for l = 1..max_level; dim_estimate approaches 2."""
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
+    check_n(max_level, "max_level")
     ns = [2 ** l for l in range(1, max_level + 1)]
     return list(map(_sample, ns, closedform.error_pairs_sweep(ns)))

@@ -30,7 +30,7 @@ MAX_ENUM_LEVEL = 20
 #: one core (README), and the argmax pointers take 4 bytes per row.
 VERIFY_BUDGET = 2 ** 21
 
-#: The inclusive upper bound of each integer flag; the lower bound is 1.
+#: The inclusive upper bound of each integer flag; constraint.check_n's is 1.
 FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
                "level": MAX_ENUM_LEVEL, "max_level": MAX_RECORD_ROWS}
 
@@ -140,12 +140,12 @@ def cmd_optimal_set(args) -> int:
         return _usage_error(f"--split-set all at n={n} gives more than "
                             f"{MAX_RECORD_ROWS} point rows")
     l = closedform.level_of(n)
-    den = 2 * 3 ** (l + 1)  # feet_table's
+    den, table = closedform.feet_table(n)
     try:  # (split set, feet over den) of each codebook, from one table
-        sets = [(ss, feet(ss)) for feet in [closedform.feet_table(n)]
-                for ss in _parse_split_selector(args.split_set, n)]
+        sets = [(ss, table(ss)) for ss in _parse_split_selector(args.split_set, n)]
     except ValueError as exc:
         return _usage_error(str(exc))
+    del table  # gone before the record is written
     # V_n, U_n and a_term = V_n - U_n are the same for every split set
     v, u = closedform.quantization_error(n), closedform.unconstrained_error(n)
     errors = ["%d/%d" % e.as_integer_ratio() for e in (v, u, v - u)]
@@ -265,11 +265,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # checked before any work, so that a huge value builds nothing
     for name, bound in FLAG_BOUNDS.items():
-        value, flag = getattr(args, name, 1), name.replace("_", "-")
-        if value < 1:
-            return _usage_error(f"--{flag} must be >= 1")
+        value, flag = getattr(args, name, 1), "--" + name.replace("_", "-")
+        try:  # argparse gave an int: only the lower bound can fail
+            constraint.check_n(value, flag)
+        except ValueError as exc:
+            return _usage_error(str(exc))
         if value > bound:
-            return _usage_error(f"--{flag} {value} exceeds the cap {bound}")
+            return _usage_error(f"{flag} {value} exceeds the cap {bound}")
     return args.func(args)
 
 

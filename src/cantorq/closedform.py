@@ -21,14 +21,14 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .constraint import PointSet
+from .constraint import PointSet, check_n
 from .measure import centroid_numerators
 
 
 def level_of(n: int) -> int:
     """The unique l with 2**l <= n < 2**(l+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:  # once per n of a sweep: the common case first
+        check_n(n)
     return n.bit_length() - 1
 
 
@@ -68,13 +68,13 @@ def parse_split_set(n: int, split_set: Iterable[str]) -> list[int]:
     return sorted(checked)
 
 
-def feet_table(n: int) -> Callable[[Iterable[int]], list[int]]:
-    """The map from a split set at n to the feet of its codebook over
-    2 * 3**(l + 1), from one table of the level's centroids: word i gives its
-    centroid or, if split, its children's, numerators 2i and 2i+1 of
+def feet_table(n: int) -> tuple[int, Callable[[Iterable[int]], list[int]]]:
+    """(den, map): the map from a split set at n to the feet of its codebook
+    over den = 2 * 3**(l + 1), from one table of the level's centroids: word i
+    gives its centroid or, if split, its children's, numerators 2i and 2i+1 of
     centroid_numerators(l + 1), whose mean is its own.  The set is unchecked:
     n - 2**l distinct indices of range(2**l), sorted, so the feet are too."""
-    nums = centroid_numerators(level_of(n) + 1)  # all odd
+    nums = centroid_numerators(k := level_of(n) + 1)  # all odd
     means = [(left + right) // 2 for left, right in zip(nums[::2], nums[1::2])]
     def feet(split_set: Iterable[int]) -> list[int]:
         out, start = [], 0
@@ -82,15 +82,16 @@ def feet_table(n: int) -> Callable[[Iterable[int]], list[int]]:
             out += means[start:i] + nums[2 * i:2 * i + 2]
             start = i + 1
         return out + means[start:]
-    return feet
+    return 2 * 3 ** k, feet
 
 
 def build_alpha(n: int, split_set: Iterable[str] | None = None) -> PointSet:
     """The codebook of n points on S_n generated by the given split words
     (None: the canonical set); n = 1 gives the single point (-1/4, 3/4)."""
-    l = level_of(n)
-    ss = range(n - 2 ** l) if split_set is None else parse_split_set(n, split_set)
-    return PointSet.from_feet(n, 2 * 3 ** (l + 1), feet_table(n)(ss))
+    ss = (next(admissible_split_sets(n)) if split_set is None
+          else parse_split_set(n, split_set))
+    den, feet = feet_table(n)
+    return PointSet.from_feet(n, den, feet(ss))
 
 
 def unconstrained_error(n: int) -> Fraction:

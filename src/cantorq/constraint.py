@@ -51,14 +51,22 @@ class ConstraintPoint(namedtuple("ConstraintPoint", "j x")):
         return Fraction(num * j + den, den * j)
 
 
+def check_n(n: int, name: str = "n") -> None:
+    """Refuse an n that is not an int >= 1, a bool too, before any use of it.
+    The package's one check of an integer argument; name labels the message."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _check_pair(j: int, v, name: str) -> None:
-    """Refuse a j that is not an int >= 1 and a v that is no int or Fraction; bools too."""
-    if not (type(j) is int and type(v) is Fraction  # the common case first
-            or bool not in (type(j), type(v)) and isinstance(j, int)
-            and isinstance(v, (int, Fraction))):
-        raise TypeError(f"need an int j and an int or Fraction {name}: {j!r}, {v!r}")
-    if j < 1:
-        raise ValueError(f"constraint index must be >= 1, got {j}")
+    """Refuse a j that check_n refuses and a v that is no int or Fraction, a bool too."""
+    if type(j) is int and type(v) is Fraction and j >= 1:  # the common case
+        return
+    check_n(j, "j")
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise TypeError(f"need an int or Fraction {name}, got {v!r}")
 
 
 def point_numerators(n: int, den: int, feet) -> tuple[int, list[int], list[int]]:
@@ -79,14 +87,6 @@ def u_inverse(j: int, t: Fraction) -> ConstraintPoint:
     _check_pair(j, t, "t")
     num, den = t.as_integer_ratio()  # x = (t - 1/j) / 2
     return ConstraintPoint(j, Fraction(num * j - den, 2 * den * j))
-
-
-def check_n(n: int) -> None:
-    """Refuse an n that is not an int >= 1, a bool too, before any use of it."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
 
 def feasible_window(n: int) -> tuple[Fraction, Fraction]:
@@ -135,12 +135,10 @@ class PointSet:
         return ps
 
     def _store(self, n: int, den: int, feet) -> None:
-        if bool in (type(n), type(den)) or not isinstance(n, int):
-            raise TypeError(f"n and den must be ints, got {n!r} and {den!r}")
+        check_n(n)
+        check_n(den, "den")
         feet = tuple(feet)
         g = gcd(den, *feet)  # a TypeError unless all are ints
-        if n < 1 or den < 1:
-            raise ValueError(f"n and den must be >= 1, got {n} and {den}")
         if g != 1:
             den, feet = den // g, tuple(t // g for t in feet)
         if len(feet) != n:

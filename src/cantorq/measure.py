@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Reversible
 
+from .constraint import check_n
+
 
 def centroid_numerators(k: int) -> list[int]:
     """Sorted numerators of the level-k centroids over the denominator 2*3**k.
@@ -28,8 +30,7 @@ def centroid_numerators(k: int) -> list[int]:
     starting from c_0 = {1}; the shift exceeds every element of c_{k-1}, so
     concatenation keeps the list sorted.
     """
-    if k < 1:
-        raise ValueError("level must be >= 1")
+    check_n(k, "level")
     nums = [1]
     for i in range(1, k + 1):
         shift = 4 * 3 ** (i - 1)

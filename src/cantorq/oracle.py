@@ -160,8 +160,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     sums of the numerators and the total of their squares.
     """
     check_n(max_n)
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    check_n(level, "level")
     m = 2 ** level
     if max_n > m:
         raise ValueError(f"n={max_n} exceeds the {m} level-{level} intervals")

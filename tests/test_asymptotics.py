@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorq.asymptotics import dimension_sequence, sample_at
+from cantorq.asymptotics import dimension_sequence
 from cantorq.closedform import quantization_error
 from reference import power_of_two_error
 
@@ -22,8 +22,14 @@ def test_v_infinity_cross_checks():
     assert (F(1, 8) + F(1, 4)) / 2 == F(3, 16)
 
 
-def test_sample_level_one():
-    s = sample_at(2)
+@pytest.fixture(scope="module")
+def samples():
+    return dimension_sequence(1024)
+
+
+def test_sample_level_one(samples):
+    s = samples[0]
+    assert s.n == 2
     assert s.v_n == (41, 72)
     assert s.excess == (55, 144)
     assert s.coeff_estimate == float(F(55, 36))
@@ -78,25 +84,18 @@ def test_coefficient_sequence_diverges():
         assert abs(coeffs[i + 1] / coeffs[i] - 2.0) < 0.01
 
 
-# every n through 2**12, then each side of every power of two up to 2**1024
-COEFF_NS = sorted(set(range(2, 2 ** 12 + 1))
-                  | {m for l in range(2, 1025)
-                     for m in (2 ** l - 1, 2 ** l, 2 ** l + 1)})
-
-
-def test_coefficient_is_the_rounded_exact_value():
-    for n in COEFF_NS:
-        s = sample_at(n)
-        assert s.coeff_estimate == float(n * n * F(*s.excess))
+def test_coefficient_is_the_rounded_exact_value(samples):
+    # every power of two up to 2**1024, the last whose coefficient is a float
+    for l, s in enumerate(samples, start=1):
+        assert s.n == 2 ** l
+        assert s.coeff_estimate == float(s.n * s.n * F(*s.excess))
 
 
 def test_coefficient_overflows_past_level_1024():
     with pytest.raises(OverflowError):
-        sample_at(2 ** 1025)
+        dimension_sequence(1025)
 
 
 def test_sequences_reject_bad_arguments():
     with pytest.raises(ValueError):
         dimension_sequence(0)
-    with pytest.raises(ValueError):
-        sample_at(1)

@@ -633,9 +633,9 @@ def test_no_codebook_is_alive_while_the_record_is_written(monkeypatch, split_set
     table, refs, reads, alive = closedform.feet_table, [], [], []
 
     def tracked(n):
-        feet = table(n)
+        den, feet = table(n)
         refs.append(weakref.ref(feet))
-        return lambda ss: reads.append(ss) or feet(ss)
+        return den, lambda ss: reads.append(ss) or feet(ss)
 
     def emit(*args, **kwargs):
         gc.collect()

@@ -163,7 +163,8 @@ def test_one_level_table_gives_every_codebook(n):
     # each split set's feet over 2 * 3**(l+1) from one table, in any order
     # and again, are build_alpha's codebook of its words, given in any order;
     # build_alpha's canonical set is the first
-    feet, den = feet_table(n), 2 * 3 ** (level_of(n) + 1)
+    den, feet = feet_table(n)
+    assert den == 2 * 3 ** (level_of(n) + 1)
     sets = list(admissible_split_sets(n))
     for ss in [*sets, *reversed(sets)]:
         for ws in (spelled(n, ss), spelled(n, ss)[::-1]):
@@ -175,7 +176,7 @@ def test_one_level_table_gives_every_codebook(n):
 
 def test_a_refused_split_set_leaves_the_table_as_it_was():
     # the parser refuses the words; the table, which checks nothing, is the same
-    feet = feet_table(6)
+    den, feet = feet_table(6)
     expected = feet(parse_split_set(6, {"12", "21"}))
     for bad, error in [({"12"}, "^split set must have 2 words for n=6, got 1$"),
                        (["21", "21"], "^repeated word 21$"),
@@ -184,7 +185,7 @@ def test_a_refused_split_set_leaves_the_table_as_it_was():
             parse_split_set(6, bad)
     assert feet(parse_split_set(6, ["21", "12"])) == feet([1, 2]) == expected
     # over 54: the means 3 and 51 of 11 and 22, the children 13, 17 and 37, 41
-    assert expected == [3, 13, 17, 37, 41, 51]
+    assert den == 54 and expected == [3, 13, 17, 37, 41, 51]
 
 
 def test_a_term_two_points():
@@ -321,10 +322,10 @@ def test_common_threes_need_no_scan_of_the_excess():
 @pytest.mark.parametrize("f, n", [(error_pairs, 0), (error_pairs, -1),
                                   (quantization_error, 0)])
 def test_n_below_one_is_refused_by_level_of(f, n):
-    # before any shift or mask sees n
-    with pytest.raises(ValueError, match="n must be >= 1") as refused:
+    # before any shift or mask sees n, by the package's one check
+    with pytest.raises(ValueError, match="^n must be >= 1$") as refused:
         f(n)
-    assert refused.traceback[-1].name == "level_of"
+    assert [entry.name for entry in refused.traceback[-2:]] == ["level_of", "check_n"]
 
 
 # every n through 2**12, both ends of each level up to l = 1100, and

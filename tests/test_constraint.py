@@ -8,6 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorq.asymptotics import dimension_sequence
+from cantorq.closedform import (
+    admissible_split_sets,
+    build_alpha,
+    count_optimal_sets,
+    error_pairs,
+    error_pairs_sweep,
+    feet_table,
+    level_of,
+    quantization_error,
+    unconstrained_error,
+)
 from cantorq.constraint import (
     ConstraintPoint,
     PointSet,
@@ -15,8 +27,8 @@ from cantorq.constraint import (
     point_numerators,
     u_inverse,
 )
-from cantorq.measure import moment_numerators
-from cantorq.oracle import cell_measures, exact_distortion
+from cantorq.measure import centroid_numerators, moment_numerators
+from cantorq.oracle import cell_measures, dp_optimal_upto, exact_distortion
 from reference import rho
 
 F = Fraction
@@ -60,6 +72,17 @@ def test_constraint_point_wraps_non_fraction_abscissa():
 
 S2_PAIR = (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6)))
 
+# entries of the other modules whose integer argument constraint.check_n checks
+INDEX_ENTRIES = {
+    "level-of": level_of, "count": count_optimal_sets,
+    "split-sets": admissible_split_sets, "feet-table": feet_table,
+    "build-alpha": build_alpha, "unconstrained": unconstrained_error,
+    "error-pairs": error_pairs, "quantization-error": quantization_error,
+    "sweep": lambda n: list(error_pairs_sweep([n])),
+    "dp-level": lambda level: dp_optimal_upto(2, level),
+    "centroids": centroid_numerators, "dimension": dimension_sequence,
+}
+
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: ConstraintPoint(2, 0.1), id="float-abscissa"),
@@ -72,10 +95,13 @@ S2_PAIR = (ConstraintPoint(2, F(-1, 6)), ConstraintPoint(2, F(1, 6)))
     pytest.param(lambda: u_inverse(2, 0.3), id="float-foot"),
     pytest.param(lambda: u_inverse(2.0, F(1, 3)), id="float-index-foot"),
     pytest.param(lambda: PointSet(2.0, S2_PAIR), id="float-n"),
+    *[pytest.param(lambda f=f: f(2.0), id=f"float-{name}")
+      for name, f in INDEX_ENTRIES.items()],
 ])
 def test_a_float_is_refused_never_made_a_rational(make):
-    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
-    with pytest.raises(TypeError):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10; the
+    # message names the refused value
+    with pytest.raises(TypeError, match=", got "):
         make()
 
 
@@ -88,19 +114,21 @@ def test_a_float_is_refused_never_made_a_rational(make):
     pytest.param(lambda: PointSet(True, [ConstraintPoint(1, F(0))]), id="bool-n"),
     pytest.param(lambda: PointSet.from_feet(True, 2, (1,)), id="bool-n-feet"),
     pytest.param(lambda: PointSet.from_feet(1, True, (1,)), id="bool-den"),
+    *[pytest.param(lambda f=f: f(True), id=f"bool-{name}")
+      for name, f in INDEX_ENTRIES.items()],
 ])
 def test_a_bool_is_refused_never_made_an_int(make):
     # True == 1, so a bool would pass every range check and show in a repr
-    with pytest.raises(TypeError, match=" True"):
+    with pytest.raises(TypeError, match=", got True$"):
         make()
 
 
 @pytest.mark.parametrize("j, error, message", [
-    (0, ValueError, "^constraint index must be >= 1, got 0$"),
-    (-3, ValueError, "^constraint index must be >= 1, got -3$"),
-    (2.0, TypeError, r"^need an int j and an int or Fraction t: 2\.0, Fraction\(1, 2\)$"),
-    ("2", TypeError, r"^need an int j and an int or Fraction t: '2', Fraction\(1, 2\)$"),
-])
+    (0, ValueError, "^j must be >= 1$"),
+    (-3, ValueError, "^j must be >= 1$"),
+    (2.0, TypeError, r"^j must be an int, got 2\.0$"),
+    ("2", TypeError, r"^j must be an int, got '2'$"),
+], ids=["zero", "negative", "float", "str"])
 def test_u_inverse_checks_its_index_before_any_arithmetic(j, error, message):
     # u_inverse(0, t) once divided by zero, and a float or str j failed
     # inside the arithmetic

@@ -90,8 +90,8 @@ def test_feet_outside_the_unit_interval_or_out_of_order_are_refused():
             (6, (5, 1), "^abscissas must be strictly increasing$"),
             (6, (3, 3), "^abscissas must be strictly increasing$"),
             (6, (1,), "^expected 2 points, got 1$"),
-            (0, (0, 0), "^n and den must be >= 1, got 2 and 0$"),
-            (-6, (-1, -5), "^n and den must be >= 1, got 2 and -6$")):
+            (0, (0, 0), "^den must be >= 1$"),
+            (-6, (-1, -5), "^den must be >= 1$")):
         with pytest.raises(ValueError, match=message):
             PointSet.from_feet(2, den, feet)
     for den, feet in ((6, (1, 5.0)), (6.0, (1, 5)), (6, (F(1), 5))):
