@@ -107,22 +107,16 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
         field = "\n" + 8 * " "
         prefixes = [(i, field + encode_basestring_ascii(header[i]) + ": ")
                     for i in sorted(range(len(header)), key=header.__getitem__)]
-        write('{\n  "command": ' + _json(args.command) + ',\n  "parameters": '
-              + _json(params, "\n  ") + ',\n  "results": {')
-        sep = "\n    "
-        for name in sorted([*results, key]):
-            write(sep + encode_basestring_ascii(name) + ": ")
-            sep = ",\n    "
-            if name != key:
-                write(_json(results[name], "\n    "))
-                continue
-            lead = "["
-            for row in rows:
-                write(lead + "\n      {" + ",".join(
-                    p + _json(row[i], field) for i, p in prefixes) + "\n      }")
-                lead = ","
-            write("[]" if lead == "[" else "\n    ]")
-        write("\n  }\n}\n")
+        # _json escapes every NUL it writes, so the one left marks results[key]
+        head, tail = _json({"command": args.command, "parameters": params,
+                            "results": {**results, key: _Raw("\0")}}).split("\0")
+        write(head)
+        lead = "["
+        for row in rows:
+            write(lead + "\n      {" + ",".join(
+                p + _json(row[i], field) for i, p in prefixes) + "\n      }")
+            lead = ","
+        write(("[]" if lead == "[" else "\n    ]") + tail + "\n")
         return
     text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     write(f"# command={args.command} {text}\r\n")
@@ -207,15 +201,15 @@ def cmd_asymptotics(args) -> int:
     samples = enumerate(asymptotics.dimension_sequence(args.max_level), start=1)
     if args.plot_data:
         header = ["x", "y"]
-        rows = [[level, fmt_float(s.dim_estimate if args.kind == "dimension"
+        rows = ([level, fmt_float(s.dim_estimate if args.kind == "dimension"
                                   else s.coeff_estimate)]
-                for level, s in samples]
+                for level, s in samples)
     else:
         header = ["level", "n", "v_exact", "excess", "dim_estimate",
                   "coeff_estimate"]
-        rows = [[level, s.n, "%d/%d" % s.v_n, "%d/%d" % s.excess,
+        rows = ([level, s.n, "%d/%d" % s.v_n, "%d/%d" % s.excess,
                  fmt_float(s.dim_estimate), fmt_float(s.coeff_estimate)]
-                for level, s in samples]
+                for level, s in samples)
     _emit(args, header, rows)
     return 0
 

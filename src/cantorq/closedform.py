@@ -114,7 +114,7 @@ def error_pairs(n: int) -> tuple[tuple[int, int], ...]:
     from 3**(2l+2-j), each product by n or 18**l one by n's odd part and a
     shift.  V_n = (16p + 3q) / (16q), p/q the excess, shares only 2s: no odd
     prime of q divides 16p."""
-    return _error_pairs(n, l := level_of(n), 3 ** (2 * l + 2))
+    return next(error_pairs_sweep((n,)))
 
 
 def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -124,27 +124,22 @@ def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]
     for n in ns:
         m = level_of(n)
         nines, l = nines * 9 ** (m - l) if m >= l else 3 ** (2 * m + 2), m
-        yield _error_pairs(n, l, nines)
-
-
-def _error_pairs(n: int, l: int, nines: int) -> tuple[tuple[int, int], ...]:
-    """error_pairs(n), given l = level_of(n) and nines = 3**(2l+2)."""
-    a = (n & -n).bit_length() - 1
-    odd = w = n >> a
-    three = 1  # 3**j
-    while w % 3 == 0:
-        w, three = w // 3, three * 9
-    r = (17 << l - a) - 8 * odd  # r / 2**a: 9 at n = 2**l
-    while r % 3 == 0:
-        r, three = r // 3, three * 3
-    k = nines // three
-    ko, e2 = k * odd, l + 4 + 2 * a  # e2: the 2s of the denominator
-    big = (r * w * w << 3 * a) + ((ko << a) + k << l + 3)  # N / 3**j
-    twos = min((big & -big).bit_length() - 1, e2)
-    p, q = big >> twos, ko * odd << e2 - twos
-    s = 16 * p + 3 * q
-    twos = min((s & -s).bit_length() - 1, e2 + 4 - twos)
-    return ((s >> twos, q << 4 >> twos), (p, q), (big * three, nines << l + 4))
+        a = (n & -n).bit_length() - 1
+        odd = w = n >> a
+        three = 1  # 3**j
+        while w % 3 == 0:
+            w, three = w // 3, three * 9
+        r = (17 << l - a) - 8 * odd  # r / 2**a: 9 at n = 2**l
+        while r % 3 == 0:
+            r, three = r // 3, three * 3
+        k = nines // three
+        ko, e2 = k * odd, l + 4 + 2 * a  # e2: the 2s of the denominator
+        big = (r * w * w << 3 * a) + ((ko << a) + k << l + 3)  # N / 3**j
+        twos = min((big & -big).bit_length() - 1, e2)
+        p, q = big >> twos, ko * odd << e2 - twos
+        s = 16 * p + 3 * q
+        twos = min((s & -s).bit_length() - 1, e2 + 4 - twos)
+        yield (s >> twos, q << 4 >> twos), (p, q), (big * three, nines << l + 4)
 
 
 def quantization_error(n: int) -> Fraction:

@@ -115,8 +115,8 @@ class PointSet:
     factor common to all of them and den, so equal codebooks store equal
     (n, den, feet).  PointSet(n, points) takes points on S_n and keeps
     them; PointSet.from_feet(n, den, feet) takes the ints, and its points
-    are derived on demand.  Immutable; the points and oracle's pass are
-    kept in its instance dict, which copy and pickle leave behind."""
+    are derived on demand from its cached `numerators`.  Immutable; caches
+    live in its instance dict, which copy and pickle leave behind."""
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -125,18 +125,18 @@ class PointSet:
 
     def __init__(self, n: int, points):
         points = tuple(points)
-        self._store(n, *feet_of(n, points))
+        self._store(n, *feet_of(n, points))  # feet_of checks n, builds den >= 1
         vars(self)["points"] = points
 
     @classmethod
     def from_feet(cls, n: int, den: int, feet) -> PointSet:
+        check_n(n)
+        check_n(den, "den")
         ps = object.__new__(cls)
         ps._store(n, den, feet)
         return ps
 
     def _store(self, n: int, den: int, feet) -> None:
-        check_n(n)
-        check_n(den, "den")
         feet = tuple(feet)
         g = gcd(den, *feet)  # a TypeError unless all are ints
         if g != 1:
@@ -154,9 +154,13 @@ class PointSet:
         vars(self).update(n=n, den=den, feet=feet)
 
     @cached_property
+    def numerators(self) -> tuple[int, list[int], list[int]]:
+        return point_numerators(self.n, self.den, self.feet)
+
+    @cached_property
     def points(self) -> tuple[ConstraintPoint, ...]:
         # unchecked: each point is on S_n, as every foot is in [0, 1]
-        e, nums, _ = point_numerators(n := self.n, self.den, self.feet)
+        (e, nums, _), n = self.numerators, self.n
         return tuple(tuple.__new__(ConstraintPoint, (n, Fraction(a, e))) for a in nums)
 
     def __eq__(self, other):

@@ -51,9 +51,10 @@ def _voronoi(n: int, points):
         if points.n != n:
             raise ValueError(f"point set is on S_{points.n}, expected S_{n}")
         # PointSet guarantees strictly increasing feet
-        memo, fden, feet = vars(points), points.den, points.feet
+        memo = vars(points)
         if "_pass" in memo:
             return memo["_pass"]
+        e, a, c = points.numerators
     else:
         memo, (fden, feet) = {}, feet_of(n, points)
         if not feet:
@@ -63,7 +64,7 @@ def _voronoi(n: int, points):
             if t0 == t1:
                 e, (a,), _ = point_numerators(n, fden, (t1,))
                 raise ValueError(f"duplicate abscissa {Fraction(a, e)}")
-    e, a, c = point_numerators(n, fden, feet)
+        e, a, c = point_numerators(n, fden, feet)
     r, e2 = [u * u + v * v for u, v in zip(a, c)], 2 * e
     ends = [moment_numerators(0, 1)]
     for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:]):
@@ -228,7 +229,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         # + size / (2 den0**2)) / m, as each interval adds its own variance,
         # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square; the
         # distortion reads only the total of the M2 terms, so it goes on one cell
-        e, a, c = point_numerators(n, ps.den, ps.feet)
+        e, a, c = ps.numerators
         r = [u * u + v * v for u, v in zip(a, c)]
         cells = [(2 * size * den0 * den0, 2 * s1 * den0, 0) for s1, size in groups]
         cells[0] = (*cells[0][:2], 2 * sq + m)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cantorq import cli, closedform
+from cantorq import asymptotics, cli, closedform
 from cantorq.cli import _emit, _json, main
 
 
@@ -592,6 +592,23 @@ def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
     monkeypatch.setattr(closedform, "error_pairs_sweep", failing)
     with pytest.raises(RuntimeError, match="at max-n"):
         main(["error-table", "--max-n", "5", "--format", fmt])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_sample_writes_no_partial_record(capsys, monkeypatch, fmt):
+    # every sample, the float coefficient too, is made before the first byte
+    sample = asymptotics._sample
+
+    def failing(n, pairs):
+        if n == 2 ** 5:
+            raise OverflowError("at max-level")
+        return sample(n, pairs)
+
+    monkeypatch.setattr(asymptotics, "_sample", failing)
+    with pytest.raises(OverflowError, match="at max-level"):
+        main(["asymptotics", "--kind", "dimension", "--max-level", "5",
+              "--format", fmt])
     assert capsys.readouterr().out == ""
 
 
