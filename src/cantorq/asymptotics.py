@@ -14,7 +14,8 @@ exact module, from the logs of those integers and N / (144 * 18**l).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 from . import closedform
 from .constraint import check_n
@@ -31,12 +32,16 @@ class AsymptoticSample(NamedTuple):
 def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
     v, (p, q), (num, den) = pairs
     dim = 2 * math.log(n) / (math.log(q) - math.log(p))
-    # correctly rounded int / int; past level 1024 it overflows a float
     return AsymptoticSample(n, v, (p, q), dim, num / den)
 
 
-def dimension_sequence(max_level: int) -> list[AsymptoticSample]:
-    """Samples at n = 2**l for l = 1..max_level; dim_estimate approaches 2."""
+def dimension_sequence(max_level: int) -> Iterator[AsymptoticSample]:
+    """Samples at n = 2**l for l = 1..max_level; dim_estimate approaches 2.
+    The one at max_level is made at the call; the iterator yields the others,
+    from one sweep, then it.  If any sample fails, it does: logs of positive
+    ints cannot, and the coefficient 2**(l-1) + 1/2 + (4/9)**l / 16 grows with
+    l, so its rounded float overflows there first, and "p/q" fits str to 2762."""
     check_n(max_level, "max_level")
-    ns = [2 ** l for l in range(1, max_level + 1)]
-    return list(map(_sample, ns, closedform.error_pairs_sweep(ns)))
+    top = _sample(n := 2 ** max_level, closedform.error_pairs(n))
+    ns = [2 ** l for l in range(1, max_level)]
+    return chain(map(_sample, ns, closedform.error_pairs_sweep(ns)), [top])

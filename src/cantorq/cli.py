@@ -3,8 +3,8 @@
 Every command writes one machine-readable record to stdout, as JSON
 (default) or CSV.  Rationals are always serialized as canonical "p/q";
 floats are rendered at 12 significant digits.  No record holds more
-than MAX_RECORD_ROWS rows.  Both formats are written row by row, after
-every step that can fail; a JSON record has the bytes of
+than MAX_RECORD_ROWS rows.  Both formats are written row by row, once no
+step left can fail; a JSON record has the bytes of
 json.dumps(record, sort_keys=True, indent=2).  Exit codes: 0 success,
 1 verification failure, 2 usage error (one stderr line; repr if unprintable).
 """

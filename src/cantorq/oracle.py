@@ -229,7 +229,7 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         # + size / (2 den0**2)) / m, as each interval adds its own variance,
         # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square; the
         # distortion reads only the total of the M2 terms, so it goes on one cell
-        e, a, c = ps.numerators
+        e, a, c = point_numerators(n, ps.den, ps.feet)
         r = [u * u + v * v for u, v in zip(a, c)]
         cells = [(2 * size * den0 * den0, 2 * s1 * den0, 0) for s1, size in groups]
         cells[0] = (*cells[0][:2], 2 * sq + m)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from cantorq import asymptotics
 from cantorq.asymptotics import dimension_sequence
-from cantorq.closedform import quantization_error
+from cantorq.closedform import error_pairs_sweep, quantization_error
 from reference import power_of_two_error
 
 F = Fraction
@@ -24,7 +25,7 @@ def test_v_infinity_cross_checks():
 
 @pytest.fixture(scope="module")
 def samples():
-    return dimension_sequence(1024)
+    return list(dimension_sequence(1024))
 
 
 def test_sample_level_one(samples):
@@ -36,7 +37,7 @@ def test_sample_level_one(samples):
 
 
 def test_dimension_sequence_examples():
-    seq = dimension_sequence(20)
+    seq = list(dimension_sequence(20))
     assert len(seq) == 20
     assert seq[0].excess == (55, 144)
     assert 1.85 <= seq[-1].dim_estimate <= 2.0
@@ -89,6 +90,34 @@ def test_coefficient_is_the_rounded_exact_value(samples):
     for l, s in enumerate(samples, start=1):
         assert s.n == 2 ** l
         assert s.coeff_estimate == float(s.n * s.n * F(*s.excess))
+
+
+def test_power_of_two_coefficients_increase():
+    # the lemma behind making the sample at max-level first: n**2 * excess
+    # at n = 2**l is 2**(l-1) + 1/2 + (4/9)**l / 16, strictly increasing in l
+    levels = range(1, 1101)
+    coeffs = [c for _, _, c in error_pairs_sweep([2 ** l for l in levels])]
+    for l, (num, den) in zip(levels, coeffs):
+        assert 16 * 9 ** l * num == (8 * 9 ** l * (2 ** l + 1) + 4 ** l) * den
+    for (n0, d0), (n1, d1) in zip(coeffs, coeffs[1:]):
+        assert n1 * d0 > n0 * d1
+
+
+def test_a_failing_max_level_fails_at_its_first_sample(monkeypatch):
+    # no other sample, and no power of two below 2**65536, is made
+    calls, sample = [], asymptotics._sample
+    monkeypatch.setattr(asymptotics, "_sample",
+                        lambda n, pairs: calls.append(n) or sample(n, pairs))
+    with pytest.raises(OverflowError):
+        dimension_sequence(2 ** 16)
+    assert [n.bit_length() - 1 for n in calls] == [2 ** 16]  # levels
+
+
+@pytest.mark.parametrize("max_level", [*range(1, 41), 1024])
+def test_samples_come_in_level_order(max_level):
+    ns = [2 ** l for l in range(1, max_level + 1)]
+    expected = list(map(asymptotics._sample, ns, error_pairs_sweep(ns)))
+    assert list(dimension_sequence(max_level)) == expected
 
 
 def test_coefficient_overflows_past_level_1024():

@@ -218,13 +218,17 @@ def test_verify_reads_the_closed_value_as_a_reduced_pair(capsys, monkeypatch):
         True, False, True, True]
 
 
+def _module_env():
+    """The environment in which a child process imports this cantorq."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_module(*argv):
     """Run `python -m cantorq.cli argv` in a child process."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "cantorq.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "cantorq.cli", *argv],
+                          env=_module_env(), capture_output=True, text=True)
 
 
 def test_the_module_exits_through_entry_with_mains_code(capsys):
@@ -278,6 +282,31 @@ def test_asymptotics_dimension(capsys):
     rows = rec["results"]["rows"]
     assert rows[0]["excess"] == "55/144"
     assert len(rows) == 3
+
+
+# Runs `python -m cantorq.cli argv` and prints its exit code and peak RSS.  Its
+# child starts from this small process, not from the test runner, as Linux
+# carries the peak RSS of the address space an exec leaves into ru_maxrss.
+PEAK_RSS = """
+import os, sys
+argv = [sys.executable, "-m", "cantorq.cli", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_asymptotics_at_the_cap_fails_before_any_other_sample():
+    # the sample at max-level overflows first, so none of the 65535 powers of
+    # two below it is built (5 s and a 294 MB peak while every sample came
+    # first); ru_maxrss is in KiB on Linux
+    run = subprocess.run([sys.executable, "-c", PEAK_RSS, "asymptotics",
+                          "--kind", "dimension", "--max-level", "65536"],
+                         env=_module_env(), capture_output=True, text=True)
+    [line] = run.stdout.splitlines()  # the child wrote no byte of a record
+    code, peak_kib = map(int, line.split())
+    assert code == 1
+    assert peak_kib < 40 * 1024
+    assert run.stderr.splitlines()[-1].startswith("OverflowError")
 
 
 def test_asymptotics_plot_data_csv(capsys):
@@ -597,7 +626,8 @@ def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failing_sample_writes_no_partial_record(capsys, monkeypatch, fmt):
-    # every sample, the float coefficient too, is made before the first byte
+    # the sample at max-level is made before the first byte, and it fails
+    # if any sample does (asymptotics.dimension_sequence)
     sample = asymptotics._sample
 
     def failing(n, pairs):

@@ -358,6 +358,7 @@ def test_dp_rejects_levels_below_one(max_n, level):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dp_agrees_with_closed_form_at_level_8(n):
     ps, v = dp_optimal_upto(n, 8)[-1]
+    assert "numerators" not in vars(ps)  # the DP caches nothing on its codebooks
     assert v == quantization_error(n)
     assert ps == build_alpha(n)
     assert dp_optimal_upto(12, 8)[n - 1] == (ps, v)
