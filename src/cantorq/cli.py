@@ -4,15 +4,18 @@ Every command writes one machine-readable record to stdout, as JSON
 (default) or CSV.  Rationals are always serialized as canonical "p/q";
 floats are rendered at 12 significant digits.  No record holds more
 than MAX_RECORD_ROWS rows.  Both formats are written row by row, once no
-step left can fail; a JSON record has the bytes of
-json.dumps(record, sort_keys=True, indent=2).  Exit codes: 0 success,
-1 verification failure, 2 usage error (one stderr line; repr if unprintable).
+step left can fail, and each row is made as it is written but verify's,
+whose all_pass needs them all; a JSON record has the bytes of
+json.dumps(record, sort_keys=True, indent=2), and a _Raw field (a set's
+points) gets its own write.  Exit codes: 0 success, 1 verification failure,
+2 usage error (one stderr line; repr if unprintable).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -105,16 +108,23 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
     if args.format == "json":
         # rows are dicts at depth 3 of the record, their fields at depth 4
         field = "\n" + 8 * " "
-        prefixes = [(i, field + encode_basestring_ascii(header[i]) + ": ")
-                    for i in sorted(range(len(header)), key=header.__getitem__)]
+        prefixes = [(i, "," * (k > 0) + field + encode_basestring_ascii(header[i]) + ": ")
+                    for k, i in enumerate(sorted(range(len(header)), key=header.__getitem__))]
         # _json escapes every NUL it writes, so the one left marks results[key]
         head, tail = _json({"command": args.command, "parameters": params,
                             "results": {**results, key: _Raw("\0")}}).split("\0")
         write(head)
         lead = "["
         for row in rows:
-            write(lead + "\n      {" + ",".join(
-                p + _json(row[i], field) for i, p in prefixes) + "\n      }")
+            text = lead + "\n      {"
+            for i, p in prefixes:
+                if type(value := row[i]) is _Raw:  # its own write, never copied
+                    write(text + p)
+                    write(value)
+                    text = ""
+                else:
+                    text += p + _json(value, field)
+            write(text + "\n      }")
             lead = ","
         write(("[]" if lead == "[" else "\n    ]") + tail + "\n")
         return
@@ -164,9 +174,13 @@ def cmd_optimal_set(args) -> int:
 
 
 def cmd_error_table(args) -> int:
-    ns = range(1, args.max_n + 1)  # pairs in lowest terms: no gcd
-    rows = [[n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
-            for n, (v, e, _) in zip(ns, closedform.error_pairs_sweep(ns))]
+    def row(n, pairs):  # pairs in lowest terms: no gcd
+        v, e, _ = pairs
+        return [n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
+    # no row can fail (README), but the one at max-n is made before the first
+    # byte all the same; rows 1..max-n-1 then stream from one sweep
+    top, ns = row(args.max_n, closedform.error_pairs(args.max_n)), range(1, args.max_n)
+    rows = chain(map(row, ns, closedform.error_pairs_sweep(ns)), [top])
     _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
     return 0
 

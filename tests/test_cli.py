@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorq import asymptotics, cli, closedform
-from cantorq.cli import _emit, _json, main
+from cantorq.cli import _Raw, _emit, _json, main
 
 
 def run(capsys, *argv):
@@ -284,29 +284,48 @@ def test_asymptotics_dimension(capsys):
     assert len(rows) == 3
 
 
-# Runs `python -m cantorq.cli argv` and prints its exit code and peak RSS.  Its
-# child starts from this small process, not from the test runner, as Linux
-# carries the peak RSS of the address space an exec leaves into ru_maxrss.
+# Runs `python -m cantorq.cli argv` with its stdout on /dev/null, as the CI
+# memory step does, and prints its exit code and peak RSS.  Its child starts
+# from this small process, not from the test runner, as Linux carries the peak
+# RSS of the address space an exec leaves into ru_maxrss (KiB on Linux).
 PEAK_RSS = """
 import os, sys
 argv = [sys.executable, "-m", "cantorq.cli", *sys.argv[1:]]
-_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ,
+    file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]), 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_asymptotics_at_the_cap_fails_before_any_other_sample():
+def _peak_rss(*argv):
+    """(exit code, peak RSS in KiB, stderr) of `python -m cantorq.cli argv`."""
+    run = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                         env=_module_env(), capture_output=True, text=True)
+    [line] = run.stdout.splitlines()
+    code, peak_kib = map(int, line.split())
+    return code, peak_kib, run.stderr
+
+
+def test_asymptotics_at_the_cap_fails_before_any_other_sample(capsys):
     # the sample at max-level overflows first, so none of the 65535 powers of
     # two below it is built (5 s and a 294 MB peak while every sample came
-    # first); ru_maxrss is in KiB on Linux
-    run = subprocess.run([sys.executable, "-c", PEAK_RSS, "asymptotics",
-                          "--kind", "dimension", "--max-level", "65536"],
-                         env=_module_env(), capture_output=True, text=True)
-    [line] = run.stdout.splitlines()  # the child wrote no byte of a record
-    code, peak_kib = map(int, line.split())
+    # first), and no byte of the record is written
+    argv = ["asymptotics", "--kind", "dimension", "--max-level", "65536"]
+    code, peak_kib, err = _peak_rss(*argv)
     assert code == 1
     assert peak_kib < 40 * 1024
-    assert run.stderr.splitlines()[-1].startswith("OverflowError")
+    assert err.splitlines()[-1].startswith("OverflowError")
+    with pytest.raises(OverflowError):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_error_table_at_the_cap_streams_its_rows():
+    # 15 MB with each row written as the sweep makes it, 41 MB with all
+    # 65536 rows held until the first byte
+    code, peak_kib, _ = _peak_rss("error-table", "--max-n", "65536")
+    assert code == 0
+    assert peak_kib < 25 * 1024
 
 
 def test_asymptotics_plot_data_csv(capsys):
@@ -606,6 +625,58 @@ def test_emit_writes_each_row_before_pulling_the_next(capsys):
                   dict(zip(header, [k, f"row-{k}", [k % 2 == 0, {"k": k}]]))
                   for k in range(4)]}}
     assert out == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("raws", [{"a"}, {"m"}, {"z"}, {"a", "z"}, {"points"}],
+                         ids=["first", "middle", "last", "first-and-last", "alone"])
+def test_emit_writes_a_raw_field_by_its_own_write(monkeypatch, raws):
+    # a _Raw field, first, in the middle, last or alone in its row, is passed
+    # to write as it is, never joined into its row, and the record keeps the
+    # bytes of json.dumps
+    header = ["points"] if raws == {"points"} else ["m", "z", "a"]
+    records = [{h: [k, {"k": "\"%d\"" % k}, []] if h in raws else f"{h}-{k}"
+                for h in header} for k in range(3)]
+    rows = [[_Raw(json.dumps(record[h], sort_keys=True, indent=2)
+                  .replace("\n", "\n" + 8 * " ")) if h in raws else record[h]
+             for h in header] for record in records]
+    written = []
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=written.append))
+    _emit(_args(), header, iter(rows), "sets")
+    assert "".join(written) == json.dumps(
+        {"command": "error-table", "parameters": {"format": "json", "max_n": 3},
+         "results": {"sets": records}}, sort_keys=True, indent=2) + "\n"
+    raw_fields = [v for row in rows for v in row if type(v) is _Raw]
+    assert len(raw_fields) == 3 * len(raws)
+    assert all(any(w is v for w in written) for v in raw_fields)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_error_table_makes_the_row_at_max_n_first(capsys, monkeypatch, fmt):
+    # error_pairs(max-n) before the first byte, then one sweep over
+    # 1..max-n-1, each row written before the next pair is made
+    sweep, calls, out = closedform.error_pairs_sweep, [], []
+
+    def written():  # the rows on stdout so far
+        out.append(capsys.readouterr().out)
+        text = "".join(out)
+        return text.count('"n": ') if fmt == "json" else max(text.count("\n") - 2, 0)
+
+    def pairs(n):
+        calls.append(("error_pairs", n, written()))
+        return next(sweep((n,)))
+
+    def swept(ns):
+        calls.append(("sweep", list(ns)))
+        for n, p in zip(ns, sweep(ns)):
+            calls.append(("pull", n, written()))
+            yield p
+
+    monkeypatch.setattr(closedform, "error_pairs", pairs)
+    monkeypatch.setattr(closedform, "error_pairs_sweep", swept)
+    assert main(["error-table", "--max-n", "5", "--format", fmt]) == 0
+    assert out[0] == ""
+    assert calls == [("error_pairs", 5, 0), ("sweep", [1, 2, 3, 4]),
+                     *(("pull", n, n - 1) for n in range(1, 5))]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
