@@ -11,7 +11,9 @@ accident; everything in this package relies on it.
 
 J_sigma = T_sigma([0, 1]) is the level-k basic interval (length 3**-k,
 mass 2**-k under the invariant measure), and the conditional mean of the
-measure on J_sigma is T_sigma(1/2).
+measure on J_sigma is T_sigma(1/2).  The integration kernel gives the
+mass and first moment of the measure on [0, x]; no second moment is
+computed, as `oracle` explains.
 
 All arithmetic here is exact integer; no floats.
 """
@@ -38,62 +40,57 @@ def centroid_numerators(k: int) -> list[int]:
     return nums
 
 
-def _unwind(digits: Reversible[bool], f: int, m1: int, m2: int,
-            d: int) -> tuple[int, int, int, int]:
+def _unwind(digits: Reversible[bool], f: int, m1: int,
+            d: int) -> tuple[int, int, int]:
     """Apply the maps of an orbit's digits (True for t2), last digit first,
-    to v = (f, m1, m2)/d; the image is (f, m1, m2, d) again.
+    to v = (f, m1)/d; the image is (f, m1, d) again.
 
-    t1 sends v to (9f, 3m1, m2)/(18d) and t2 to (9(f + d), 6f + 3m1 + 3d/2,
-    4(f + m1) + m2 + 3d/8)/(18d): each step scales by small integers.  With
-    d = 0 only the linear part of the maps is applied.
+    t1 sends v to (9f, 3m1)/(18d) and t2 to (9(f + d), 6f + 3m1 + 3d/2)/(18d):
+    each step scales by small integers.  With d = 0 only the linear part of
+    the maps is applied.
     """
-    # 8 | d keeps d/2 and 3d/8 integral, and 18d keeps 8 | d
+    # 2 | d keeps d/2 integral, and 18d keeps 2 | d
     for right in reversed(digits):
         if right:
-            f, m1, m2 = (f + d, m1 + 2 * f + d // 2,
-                         m2 + 4 * (f + m1) + 3 * d // 8)
+            f, m1 = f + d, m1 + 2 * f + d // 2
         f, m1, d = 9 * f, 3 * m1, 18 * d
-    return f, m1, m2, d
+    return f, m1, d
 
 
-def moment_numerators(p: int, q: int) -> tuple[int, int, int, int]:
-    """v(x) = (mu[0, x], int_0^x t dmu, int_0^x t**2 dmu) at x = p/q, q > 0, as
-    numerators over one denominator: (f, m1, m2, d).
+def moment_numerators(p: int, q: int) -> tuple[int, int, int]:
+    """v(x) = (mu[0, x], int_0^x t dmu) at x = p/q, q > 0, as numerators over
+    one denominator: (f, m1, d).
 
-    Self-similarity gives v(x/3) = (F/2, M1/6, M2/18) and
-    v(x/3 + 2/3) = (1/2 + F/2, F/3 + M1/6 + 1/12, 2F/9 + 2M1/9 + M2/18 + 1/48)
-    for v(x) = (F, M1, M2), and v is the constant (1/2, 1/12, 1/48) on the
-    middle third [1/3, 2/3].  The orbit x -> 3x mod 1 of a rational is
-    eventually periodic: it either reaches the middle third or cycles inside
-    the Cantor set, where v is the fixed point of the cycle's affine map,
-    which is lower triangular.  p/q need not be reduced: the orbit scales
-    with a common factor.  Clamped to v(0) for p <= 0 and v(1) for p >= q.
-    See Graf & Luschgy, "The quantization of the Cantor distribution",
-    Math. Nachr. 183 (1997).
+    Self-similarity gives v(x/3) = (F/2, M1/6) and v(x/3 + 2/3) =
+    (1/2 + F/2, F/3 + M1/6 + 1/12) for v(x) = (F, M1), and v is the constant
+    (1/2, 1/12) on the middle third [1/3, 2/3].  The orbit x -> 3x mod 1 of a
+    rational is eventually periodic: it either reaches the middle third or
+    cycles inside the Cantor set, where v is the fixed point of the cycle's
+    affine map, which is lower triangular.  p/q need not be reduced: the
+    orbit scales with a common factor.  Clamped to v(0) for p <= 0 and v(1)
+    for p >= q.  See Graf & Luschgy, "The quantization of the Cantor
+    distribution", Math. Nachr. 183 (1997).
     """
     if q <= 0:
         raise ValueError(f"denominator must be > 0, got {q}")
     if p <= 0:
-        return 0, 0, 0, 1
+        return 0, 0, 1
     if p >= q:
-        return 8, 4, 3, 8  # (1, 1/2, 3/8)
+        return 2, 1, 2  # (1, 1/2)
     seen, q2 = {}, 2 * q  # each p of the orbit and its digit, True for t2
     while p not in seen:
         if (p3 := 3 * p) < q:
             seen[p], p = False, p3
         elif p3 > q2:
             seen[p], p = True, p3 - q2
-        else:  # v on the middle third: (1/2, 1/12, 1/48)
-            return _unwind(seen.values(), 72, 12, 3, 144)
+        else:  # v on the middle third: (1/2, 1/12)
+            return _unwind(seen.values(), 6, 1, 12)
     digits, i = list(seen.values()), list(seen).index(p)
     cycle, digits = digits[i:], digits[:i]
-    # the cycle maps (f, m1, m2)/d to (N (f, m1, m2) + d K/8)/(18**L d),
-    # L = len(cycle), N lower triangular; the fixed point solves
-    # (18**L - N)(f, m1, m2) = d K/8, and this d makes it integral
-    k0, k1, k2, top = _unwind(cycle, 0, 0, 0, 8)  # top = 8 * 18**L
-    n00, n10, n20, _ = _unwind(cycle, 1, 0, 0, 0)
-    _, n11, n21, _ = _unwind(cycle, 0, 1, 0, 0)
-    d0, d1, d2 = top // 8 - n00, top // 8 - n11, top // 8 - 1
-    d, g = 8 * d0 * d1 * d2, d0 * k1 + n10 * k0
-    f, m1, m2 = k0 * d1 * d2, d2 * g, d1 * (d0 * k2 + n20 * k0) + n21 * g
-    return _unwind(digits, f, m1, m2, d)
+    # the cycle maps (f, m1)/d to (N (f, m1) + d K/2)/(18**L d), L =
+    # len(cycle), N lower triangular with diagonal (9**L, 3**L); the fixed
+    # point solves (18**L - N)(f, m1) = d K/2, and this d makes it integral
+    k0, k1, top = _unwind(cycle, 0, 0, 2)  # top = 2 * 18**L
+    _, n10, _ = _unwind(cycle, 1, 0, 0)
+    d0, d1 = top // 2 - 9 ** len(cycle), top // 2 - 3 ** len(cycle)
+    return _unwind(digits, k0 * d1, k1 * d0 + n10 * k0, 2 * d0 * d1)

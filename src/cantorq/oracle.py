@@ -4,7 +4,10 @@ Nothing here trusts the closed forms.  The evaluator and the Lloyd step
 integrate the measure over each Voronoi cell of an arbitrary codebook in
 one exact integer pass: generic 2-D bisector cuts over a common denominator
 go unreduced to the kernel `measure.moment_numerators`, and each cell's mass
-and first two moments are integer differences at its boundaries.  The Lloyd
+and first moment are integer differences at its boundaries.  The cells'
+second moments always add up to E X**2 = 3/8 (mean 1/2, variance 1/8; Graf
+& Luschgy, Math. Nachr. 183 (1997)), whatever the cuts, so a distortion is
+3/8 plus the sum of (x**2 + y**2) mass - 2x M1 over the cells.  The Lloyd
 step recenters every point at the pullback of its cell's conditional mean.
 A PointSet keeps its own integer pass, so the evaluators integrate each
 codebook once; a plain sequence of points is integrated on every call.
@@ -40,7 +43,7 @@ def _voronoi(n: int, points):
     constraint.point_numerators, and r_i = a_i**2 + c_i**2.  The cut between
     neighbours (a, c)/e and (b, d)/e, a < b, is the generic 2-D bisector
     crossing of the real line (r_b - r_a) / (2e(b - a)), given to the kernel
-    unreduced, as are the ends 0 and 1.  Each cell's (mass, M1, M2) is the
+    unreduced, as are the ends 0 and 1.  Each cell's (mass, M1) is the
     difference of its ends' kernel values over one denominator den.  A
     frozen PointSet keeps its pass in its instance dict under "_pass", as
     functools.cached_property does, unseen by its equality, hash and repr;
@@ -70,29 +73,30 @@ def _voronoi(n: int, points):
     for a0, a1, r0, r1 in zip(a, a[1:], r, r[1:]):
         ends.append(moment_numerators(r1 - r0, e2 * (a1 - a0)))
     ends.append(moment_numerators(1, 1))
-    den = lcm(*[d for _, _, _, d in ends])
-    cells, f0, g0, h0 = [], 0, 0, 0  # cells[0] is v(0) itself, not a cell
-    for f, g, h, d in ends:
-        f, g, h = f * (k := den // d), g * k, h * k
-        cells.append((f - f0, g - g0, h - h0))
-        f0, g0, h0 = f, g, h
+    den = lcm(*[d for _, _, d in ends])
+    cells, f0, g0 = [], 0, 0  # cells[0] is v(0) itself, not a cell
+    for f, g, d in ends:
+        f, g = f * (k := den // d), g * k
+        cells.append((f - f0, g - g0))
+        f0, g0 = f, g
     memo["_pass"] = result = e, a, r, cells[1:], den
     return result
 
 
 def _distortion(e: int, a, r, cells, den: int) -> Fraction:
-    """The sum of M2 - 2x M1 + (x**2 + y**2) mass over cells (mass, M1, M2)
+    """3/8 plus the sum of (x**2 + y**2) mass - 2x M1 over cells (mass, M1)
     / den, each for its point (x, y) = (a_i, c_i) / e, r_i = a_i**2 + c_i**2."""
     ee, e2 = e * e, 2 * e
-    return Fraction(sum([ee * m2 - e2 * u * m1 + ru * mass
-                         for u, ru, (mass, m1, m2) in zip(a, r, cells)]), ee * den)
+    total = sum([ru * mass - e2 * u * m1 for u, ru, (mass, m1) in zip(a, r, cells)])
+    return Fraction(8 * total + 3 * ee * den, 8 * ee * den)
 
 
 def exact_distortion(n: int, points) -> Fraction:
     """Exact distortion of an arbitrary codebook on S_n.
 
     Duplicate points collapse to one.  Each cell contributes
-    M2 - 2x M1 + (x**2 + y**2) mass for its point (x, y).
+    (x**2 + y**2) mass - 2x M1 for its point (x, y), and the distortion is
+    3/8 plus their sum.
     """
     if not isinstance(points, PointSet):
         points = dict.fromkeys(points)  # keeps the first of each, in order
@@ -102,7 +106,7 @@ def exact_distortion(n: int, points) -> Fraction:
 def cell_measures(n: int, points) -> list[Fraction]:
     """Measure of each point's Voronoi cell, projected to the real line."""
     _, _, _, cells, den = _voronoi(n, points)
-    return [Fraction(mass, den) for mass, _, _ in cells]
+    return [Fraction(mass, den) for mass, _ in cells]
 
 
 def lloyd_step(n: int, points) -> PointSet:
@@ -113,7 +117,7 @@ def lloyd_step(n: int, points) -> PointSet:
     if len(a) != n:
         raise ValueError(f"need exactly {n} distinct points, got {len(a)}")
     nums, dens = [], []  # each foot m1/mass in lowest terms
-    for mass, m1, _ in cells:
+    for mass, m1 in cells:
         if mass == 0:
             p = ConstraintPoint(n, Fraction(a[len(nums)], e))  # this cell's point
             raise EmptyCellError(f"cell of point {p} has zero measure")
@@ -157,18 +161,15 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     (leftmost maxima of a totally monotone matrix are monotone, so the
     capped search finds them), hence each boundary in turn is the smallest
     one that still allows the optimum: ties go to the lexicographically
-    smallest boundaries.  The distortion of each group comes from prefix
-    sums of the numerators and the total of their squares.
+    smallest boundaries.  Each group is a cell whose mass and first moment
+    come from prefix sums of the numerators; the evaluator adds the 3/8.
     """
     check_n(max_n)
     check_n(level, "level")
     m = 2 ** level
     if max_n > m:
         raise ValueError(f"n={max_n} exceeds the {m} level-{level} intervals")
-    nums = centroid_numerators(level)
-    pref = [0, *accumulate(nums)]
-    sq = sum(v * v for v in nums)
-    del nums  # only the prefix sums read it: free it before the layers
+    pref = [0, *accumulate(centroid_numerators(level))]
 
     # layer g: the pairs vnum[g][k] / vden[g][k] of its live rows i = off[g] + k
     # and arg[g][i] of each filled row; layer 1 is one group, ending at m
@@ -225,13 +226,9 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
         lcm_size = lcm(*(size for _, size in groups))
         ps = PointSet.from_feet(n, lcm_size * den0,
                                 [s1 * (lcm_size // size) for s1, size in groups])
-        # each group is a cell: (mass, M1, M2) = (size, s1 / den0, s2 / den0**2
-        # + size / (2 den0**2)) / m, as each interval adds its own variance,
-        # (1/8) / 9**level = (1/2) / den0**2, to its centroid's square; the
-        # distortion reads only the total of the M2 terms, so it goes on one cell
+        # each group is a cell: (mass, M1) = (size, s1 / den0) / m
         e, a, c = point_numerators(n, ps.den, ps.feet)
         r = [u * u + v * v for u, v in zip(a, c)]
-        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 0) for s1, size in groups]
-        cells[0] = (*cells[0][:2], 2 * sq + m)
-        results.append((ps, _distortion(e, a, r, cells, 2 * den0 * den0 * m)))
+        cells = [(size * den0, s1) for s1, size in groups]
+        results.append((ps, _distortion(e, a, r, cells, den0 * m)))
     return results

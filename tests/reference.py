@@ -78,9 +78,9 @@ def a_term(n: int, split_set=None) -> Fraction:
 
 
 def partial_moments(x):
-    """v(x) = (mass, M1, M2) of the measure on [0, x] as Fractions."""
-    f, m1, m2, d = moment_numerators(x.numerator, x.denominator)
-    return F(f, d), F(m1, d), F(m2, d)
+    """v(x) = (mass, M1) of the measure on [0, x] as Fractions."""
+    f, m1, d = moment_numerators(x.numerator, x.denominator)
+    return F(f, d), F(m1, d)
 
 
 def power_of_two_error(level):

@@ -148,7 +148,7 @@ def test_criterion_10_voronoi_preservation():
             means = [2 * p.x + F(1, n) for p in alpha.points]  # the feet
             cuts = [(means[i] + means[i + 1]) / 2
                     for i in range(len(means) - 1)]
-            ends = [F(f, d) for f, _, _, d in (
+            ends = [F(f, d) for f, _, d in (
                 moment_numerators(c.numerator, c.denominator)
                 for c in (F(0), *cuts, F(1)))]
             assert constrained == [b - a for a, b in zip(ends, ends[1:])]

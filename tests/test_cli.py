@@ -218,6 +218,32 @@ def test_verify_reads_the_closed_value_as_a_reduced_pair(capsys, monkeypatch):
         True, False, True, True]
 
 
+def _verify_columns(rec):
+    """The three checks of a verify record, one list per column."""
+    checks = rec["results"]["checks"]
+    return [[c[k] for c in checks] for k in ("value_match", "points_match", "lloyd_fixed")]
+
+
+def test_verify_fails_on_lloyd_fixed_alone(capsys, monkeypatch):
+    step = cli.oracle.lloyd_step
+    monkeypatch.setattr(cli.oracle, "lloyd_step",
+                        lambda n, ps: None if n == 2 else step(n, ps))
+    code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
+    assert (code, rec["results"]["all_pass"]) == (1, False)
+    assert _verify_columns(rec) == [[True] * 4, [True] * 4, [True, False, True, True]]
+
+
+def test_verify_fails_on_points_match_alone(capsys, monkeypatch):
+    # the other optimal set at n = 3 splits word "2": the DP's value, and
+    # the canonical set's Lloyd step, are unchanged
+    dp, other = cli.oracle.dp_optimal_upto, closedform.build_alpha(3, ["2"])
+    monkeypatch.setattr(cli.oracle, "dp_optimal_upto", lambda max_n, level: [
+        (other, value) if ps.n == 3 else (ps, value) for ps, value in dp(max_n, level)])
+    code, rec = run_json(capsys, "verify", "--max-n", "4", "--level", "6")
+    assert (code, rec["results"]["all_pass"]) == (1, False)
+    assert _verify_columns(rec) == [[True] * 4, [True, True, False, True], [True] * 4]
+
+
 def _module_env():
     """The environment in which a child process imports this cantorq."""
     src = str(Path(cli.__file__).resolve().parent.parent)

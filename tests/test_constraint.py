@@ -281,7 +281,7 @@ def test_voronoi_cut_is_midpoint_of_feet(j, t1, t2):
         return
     lo, hi = sorted((t1, t2))
     mid = t1 + t2  # the cut is mid/2, given to the kernel unreduced
-    f, _, _, d = moment_numerators(mid.numerator, 2 * mid.denominator)
+    f, _, d = moment_numerators(mid.numerator, 2 * mid.denominator)
     left = F(f, d)
     assert cell_measures(j, [u_inverse(j, lo), u_inverse(j, hi)]) == [left, 1 - left]
 

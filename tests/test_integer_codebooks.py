@@ -59,7 +59,7 @@ def assert_same_codebook(n, split_set=None, evaluate=True):
     # the Lloyd iterate the old way, x = (m1*n - mass) / (2*mass*n), is alpha
     assert oracle.lloyd_step(n, alpha) is alpha
     assert all(p.x.numerator * 2 * mass * n == (m1 * n - mass) * p.x.denominator
-               for p, (mass, m1, _) in zip(pts, cells))
+               for p, (mass, m1) in zip(pts, cells))
 
 
 @pytest.mark.parametrize("block", range(8))

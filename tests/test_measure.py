@@ -45,7 +45,7 @@ def test_apply_map_rejects_bad_letter():
 
 
 def _between(a, b):
-    """Mass and first two moments of the measure on [a, b], from the kernel."""
+    """Mass and first moment of the measure on [a, b], from the kernel."""
     return tuple(y - x for x, y in zip(partial_moments(a), partial_moments(b)))
 
 
@@ -54,7 +54,7 @@ def test_basic_interval_length_and_mass(w):
     left, right = apply_map(w, F(0)), apply_map(w, F(1))
     assert right - left == F(1, 3 ** len(w))
     assert 0 <= left < right <= 1
-    mass, m1, _ = _between(left, right)
+    mass, m1 = _between(left, right)
     assert mass == F(1, 2 ** len(w))
     assert m1 == mass * centroid(w)
 
@@ -121,33 +121,32 @@ def test_second_moment_closed_form(k):
 @settings(max_examples=200)
 @given(unit_st)
 def test_self_similar_one_level_recursion(x):
-    f, m1, m2 = partial_moments(x)
-    assert partial_moments(x / 3) == (f / 2, m1 / 6, m2 / 18)
+    f, m1 = partial_moments(x)
+    assert partial_moments(x / 3) == (f / 2, m1 / 6)
     assert partial_moments(x / 3 + F(2, 3)) == (
-        F(1, 2) + f / 2, f / 3 + m1 / 6 + F(1, 12),
-        2 * f / 9 + 2 * m1 / 9 + m2 / 18 + F(1, 48))
+        F(1, 2) + f / 2, f / 3 + m1 / 6 + F(1, 12))
 
 
 @pytest.mark.parametrize("i", range(20))
 def test_single_point_distortion_on_s1_is_quadratic(i):
     # distortion of (a, a+1) over [0,1] equals 2a^2 + a + 11/8
     a = F(i - 10, 13)
-    mass, m1, m2 = partial_moments(F(1))
+    mass, m1 = partial_moments(F(1))
+    m2 = VARIANCE + MEAN * MEAN  # E X**2 over [0, 1]
     assert m2 - 2 * a * m1 + (a * a + (a + 1) ** 2) * mass == \
         2 * a * a + a + F(11, 8)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_partial_moments_match_finite_sums(k):
-    # a level-k interval has mass 2**-k, mean c and second moment
-    # c**2 + 9**-k/8; v at its ends and at gap midpoints is a finite sum
+    # a level-k interval has mass 2**-k and mean c; v at its ends and at
+    # gap midpoints is a finite sum
     den, width, mass = 2 * 3 ** k, F(1, 3 ** k), F(1, 2 ** k)
     cs = [F(t, den) for t in centroid_numerators(k)]
-    sums = [(F(0), F(0), F(0))]
+    sums = [(F(0), F(0))]
     for c in cs:
-        f, m1, m2 = sums[-1]
-        sums.append((f + mass, m1 + mass * c,
-                     m2 + mass * (c * c + width * width / 8)))
+        f, m1 = sums[-1]
+        sums.append((f + mass, m1 + mass * c))
     for i, c in enumerate(cs):
         assert partial_moments(c - width / 2) == sums[i]
         assert partial_moments(c + width / 2) == sums[i + 1]
@@ -158,9 +157,9 @@ def test_partial_moments_match_finite_sums(k):
 
 def test_partial_moments_hand_values():
     # 1/4 = 0.0202..._3 and 3/4 = 0.2020..._3: F(1/4) = F(3/4)/2 and
-    # F(3/4) = 1/2 + F(1/4)/2 give F(1/4) = 1/3; M1 and M2 follow likewise
-    assert partial_moments(F(1, 4)) == (F(1, 3), F(1, 30), F(13, 2280))
-    assert partial_moments(F(3, 4)) == (F(2, 3), F(1, 5), F(39, 380))
+    # F(3/4) = 1/2 + F(1/4)/2 give F(1/4) = 1/3; M1 follows likewise
+    assert partial_moments(F(1, 4)) == (F(1, 3), F(1, 30))
+    assert partial_moments(F(3, 4)) == (F(2, 3), F(1, 5))
 
 
 def _periodic(cycle: str) -> F:
@@ -193,17 +192,18 @@ def test_partial_moments_bracketed_in_cantor_set(x):
         assert all(a <= b <= c for a, b, c in zip(lo, v, hi))
         c = left + width / 2
         mass = F(1, 2 ** k)
-        assert tuple(b - a for a, b in zip(lo, hi)) == (
-            mass, mass * c, mass * (c * c + width * width / 8))
+        assert tuple(b - a for a, b in zip(lo, hi)) == (mass, mass * c)
 
 
 def test_partial_moments_clamps():
-    zero, total = (0, 0, 0), (1, MEAN, VARIANCE + MEAN * MEAN)
+    zero, total = (0, 0), (1, MEAN)
     for x in (F(-5, 7), F(0)):
         assert partial_moments(x) == zero
     for x in (F(1), F(3, 2)):
         assert partial_moments(x) == total
-    assert total == (1, F(1, 2), F(3, 8))
+    assert total == (1, F(1, 2))
+    # the total second moment, which the evaluator adds to every distortion
+    assert VARIANCE + MEAN * MEAN == F(3, 8)
 
 
 # cycles inside the Cantor set, gap midpoints T_w(1/2), and both clamps
@@ -215,8 +215,8 @@ KERNEL_POINTS = [F(1, 4), F(3, 4), F(1, 10), F(570247, 590490), *CYCLE_POINTS,
 def _assert_scale_invariant(x):
     v = partial_moments(x)
     for g in range(1, 51):
-        f, m1, m2, d = moment_numerators(g * x.numerator, g * x.denominator)
-        assert (F(f, d), F(m1, d), F(m2, d)) == v
+        f, m1, d = moment_numerators(g * x.numerator, g * x.denominator)
+        assert (F(f, d), F(m1, d)) == v
 
 
 @pytest.mark.parametrize("x", KERNEL_POINTS)

@@ -16,7 +16,6 @@ from cantorq.constraint import (
     ConstraintPoint,
     PointSet,
     feasible_window,
-    point_numerators,
     u_inverse,
 )
 from cantorq.measure import centroid_numerators
@@ -61,9 +60,9 @@ def test_exact_distortion_rejects_wrong_segment():
 def test_exact_distortion_when_boundary_is_in_cantor_set():
     # feet 0 and 1/2 put the cut at 1/4 = 0.020202..._3, inside the Cantor
     # set.  F(1/4) = F(3/4)/2 and F(3/4) = 1/2 + F(1/4)/2 give F(1/4) = 1/3;
-    # the same two maps give M1(1/4) = 1/30 and M2(1/4) = 13/2280.  The
-    # points (-1/4, 1/4) and (0, 1/2) then contribute
-    # (13/2280 + 1/60 + 1/24) + (3/8 - 13/2280 + 1/6) = 3/5.
+    # the same two maps give M1(1/4) = 1/30.  On top of the cells' total
+    # second moment 3/8, the points (-1/4, 1/4) and (0, 1/2) then contribute
+    # (1/60 + 1/24) + 1/6, and 3/8 + 9/40 = 3/5.
     pts = [u_inverse(2, F(0)), u_inverse(2, F(1, 2))]
     assert cell_measures(2, pts) == [F(1, 3), F(2, 3)]
     assert exact_distortion(2, pts) == F(3, 5)
@@ -89,7 +88,7 @@ def test_lloyd_descent_through_boundary_in_cantor_set():
 
 
 def _per_cut(n, feet):
-    """The sorted distinct points and their cells' (mass, M1, M2) by the
+    """The sorted distinct points and their cells' (mass, M1) by the
     per-cut path: each cut from the generic 2-D bisector formula on
     Fractions, each cell a difference of kernel values."""
     pts = sorted({u_inverse(n, t) for t in feet}, key=lambda p: p.x)
@@ -101,19 +100,18 @@ def _per_cut(n, feet):
 
 def _assert_matches_per_cut(n, feet):
     pts, cells = _per_cut(n, feet)
-    assert exact_distortion(n, [u_inverse(n, t) for t in feet]) == sum(
-        m2 - 2 * p.x * m1 + (p.x ** 2 + p.y ** 2) * mass
-        for p, (mass, m1, m2) in zip(pts, cells))
-    assert cell_measures(n, pts) == [mass for mass, _, _ in cells]
+    assert exact_distortion(n, [u_inverse(n, t) for t in feet]) == F(3, 8) + sum(
+        (p.x ** 2 + p.y ** 2) * mass - 2 * p.x * m1 for p, (mass, m1) in zip(pts, cells))
+    assert cell_measures(n, pts) == [mass for mass, _ in cells]
     if len(pts) != n:
         with pytest.raises(ValueError, match="need exactly"):
             lloyd_step(n, pts)
-    elif any(mass == 0 for mass, _, _ in cells):
+    elif any(mass == 0 for mass, _ in cells):
         with pytest.raises(EmptyCellError):
             lloyd_step(n, pts)
     else:
         assert lloyd_step(n, pts).points == tuple(
-            u_inverse(n, m1 / mass) for mass, m1, _ in cells)
+            u_inverse(n, m1 / mass) for mass, m1 in cells)
 
 
 foot_st = st.sampled_from((2 * 3 ** 5, 3 ** 6, 2 ** 6, 100, 7 * 11 * 13)).flatmap(
@@ -408,8 +406,9 @@ def test_dp_matches_brute_force_with_lexicographic_tie_break():
 def _eager_dp_optimal_upto(max_n, level):
     """The DP filled eagerly, layer by layer: every row of layers 1..max_n-1
     and row 0 of the top layer, each row's columns bounded only by the
-    divide-and-conquer; the group sums of squares come from their own prefix
-    sums.  A reference for dp_optimal_upto, which fills rows on demand."""
+    divide-and-conquer.  Each value is summed in Fractions from the groups'
+    own sums of squares, not through the evaluator's 3/8.  A reference for
+    dp_optimal_upto, which fills rows on demand."""
     m = 2 ** level
     nums = centroid_numerators(level)
     pref = [0, *accumulate(nums)]
@@ -451,11 +450,12 @@ def _eager_dp_optimal_upto(max_n, level):
         lcm_size = lcm(*(size for *_, size in groups))
         ps = PointSet.from_feet(n, lcm_size * den0,
                                 [s1 * (lcm_size // size) for s1, _, size in groups])
-        e, a, c = point_numerators(n, ps.den, ps.feet)
-        r = [u * u + v * v for u, v in zip(a, c)]
-        cells = [(2 * size * den0 * den0, 2 * s1 * den0, 2 * s2 + size)
-                 for s1, s2, size in groups]
-        results.append((ps, oracle._distortion(e, a, r, cells, 2 * den0 * den0 * m)))
+        # each level interval adds its own variance, (1/8) / 9**level =
+        # (1/2) / den0**2, to its centroid's square
+        value = sum((F(2 * s2 + size, 2 * den0 * den0 * m) - 2 * p.x * F(s1, den0 * m)
+                     + (p.x ** 2 + p.y ** 2) * F(size, m))
+                    for p, (s1, s2, size) in zip(ps.points, groups))
+        results.append((ps, value))
     return results
 
 
