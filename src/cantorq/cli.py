@@ -1,20 +1,21 @@
 """Command-line interface.
 
-Every command writes one machine-readable record to stdout, as JSON
-(default) or CSV.  Rationals are always serialized as canonical "p/q";
-floats are rendered at 12 significant digits.  No record holds more
-than MAX_RECORD_ROWS rows.  Both formats are written row by row, once no
-step left can fail, and each row is made as it is written but verify's,
-whose all_pass needs them all; a JSON record has the bytes of
-json.dumps(record, sort_keys=True, indent=2), and a _Raw field (a set's
-points) gets its own write.  Exit codes: 0 success, 1 verification failure,
-2 usage error (one stderr line; repr if unprintable).
+Every command writes one machine-readable record to stdout, as JSON (default)
+or CSV; main builds one parser per process.  Rationals are canonical "p/q",
+floats have 12 significant digits.  No record holds more than MAX_RECORD_ROWS
+rows.  Both formats are written row by row, once no step left can fail, and
+each row is made as it is written but verify's, whose all_pass needs them all;
+a JSON record has the bytes of json.dumps(record, sort_keys=True, indent=2), a
+_Raw field (a set's points) gets its own write, and a CSV row is one `%` over
+one row template per CSV record.  Exit codes: 0 success, 1 verification
+failure, 2 usage error (one stderr line; repr if unprintable).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -131,10 +132,15 @@ def _emit(args, header: list[str], rows, key: str = "rows", **results) -> None:
     text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     write(f"# command={args.command} {text}\r\n")
     # no field needs quoting: each is an int, a bool, a "p/q", a float, a
-    # header name or split words over {1, 2}, printed from indices, joined by "+"
+    # header name or split words over {1, 2}, printed from indices, joined by
+    # "+", and "%s" gives its str().  The template is the first row's, as a
+    # row may be shorter than the header: a point's x,y is one optimal-set field
     write(",".join(header) + "\r\n")
-    for row in rows:
-        write(",".join(map(str, row)) + "\r\n")
+    for first in (rows := iter(rows)):  # once: the inner loop takes the rest
+        line = ",".join(["%s"] * len(first)) + "\r\n"
+        write(line % tuple(first))
+        for row in rows:
+            write(line % tuple(row))
 
 
 def cmd_optimal_set(args) -> int:
@@ -228,6 +234,7 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)  # built at the first main, not at import; reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorq",
@@ -269,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # checked before any work, so that a huge value builds nothing
     for name, bound in FLAG_BOUNDS.items():
         value, flag = getattr(args, name, 1), "--" + name.replace("_", "-")

@@ -267,6 +267,33 @@ def test_the_module_exits_through_entry_with_mains_code(capsys):
         0, capsys.readouterr().out, "")
 
 
+def test_the_shared_parser_carries_nothing_between_calls(capsys):
+    # one parser serves every call of a process: after a CSV record of every
+    # set, --plot-data, --help and a usage error, the defaults json, canonical
+    # and no --plot-data are back, and each record is a fresh process's
+    parser = cli.build_parser()
+    assert main(["optimal-set", "--n", "6", "--split-set", "all",
+                 "--format", "csv"]) == 0
+    assert main(["asymptotics", "--kind", "dimension", "--max-level", "3",
+                 "--plot-data"]) == 0
+    for argv, code in ((["verify", "--help"], 0), (["optimal-set", "--n", "x"], 2)):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+    capsys.readouterr()
+    for argv, params in (
+            (["optimal-set", "--n", "6"],
+             {"format": "json", "n": 6, "split_set": "canonical"}),
+            (["asymptotics", "--kind", "dimension", "--max-level", "3"],
+             {"format": "json", "kind": "dimension", "max_level": 3,
+              "plot_data": False})):
+        assert main(argv) == 0
+        out, fresh = capsys.readouterr().out, _run_module(*argv)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, "")
+        assert json.loads(out)["parameters"] == params
+    assert cli.build_parser() is parser
+
+
 def test_verify_refuses_work_above_the_budget_before_any_work(capsys, monkeypatch):
     # the DP is replaced, so no argv here runs it: each level's largest
     # max-n within the budget reaches it, and one more is refused first
@@ -674,6 +701,26 @@ def test_emit_writes_a_raw_field_by_its_own_write(monkeypatch, raws):
     raw_fields = [v for row in rows for v in row if type(v) is _Raw]
     assert len(raw_fields) == 3 * len(raws)
     assert all(any(w is v for w in written) for v in raw_fields)
+
+
+@pytest.mark.parametrize("rows", [
+    [[3, "1/2+2", 0, "11/27,31/54"], [3, "1/2+2", 1, "5/6,1"]],
+    [[7], [8]],
+    [[True, False, 0, -7, 2 ** 70]],
+    [["100%", "%s", "%d%%"], ["%(n)s", "%", "%%s"]],
+    [],
+], ids=["shorter-than-the-header", "one-field", "bools-and-ints", "percent",
+        "no-rows"])
+def test_emit_csv_rows_are_their_fields_joined_by_commas(monkeypatch, rows):
+    # one "%s" template per record, sized by the first row, writes each row
+    # as the old ",".join(map(str, row)) did
+    header = ["set_index", "split_set", "point_index", "x", "y", "total"]
+    written = []
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=written.append))
+    _emit(_args("csv"), header, iter(rows))
+    assert written == [
+        "# command=error-table format=csv max_n=3\r\n", ",".join(header) + "\r\n",
+        *(",".join(map(str, row)) + "\r\n" for row in rows)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,7 +1,9 @@
 """The package namespace binds no function, class or constant, and importing
 the command-line module loads every module of the package and none of
 `dataclasses`, `inspect` and `csv`: the CLI writes CSV rows itself, as no
-field of a record needs quoting."""
+field of a record needs quoting.  Nor does the import build the argument
+parser, which the first call of `main` builds, so a process that imports the
+CLI only for its constants pays for no parser."""
 
 import json
 import os
@@ -21,6 +23,7 @@ print(json.dumps({
     "bound": sorted(k for k, v in vars(sys.modules["cantorq"]).items()
                     if not k.startswith("__") and not isinstance(v, types.ModuleType)),
     "heavy": sorted(m for m in ("dataclasses", "inspect", "csv", "_csv") if m in sys.modules),
+    "parsers": cantorq.cli.build_parser.cache_info().currsize,
 }))
 """
 
@@ -35,3 +38,4 @@ def test_importing_the_cli_loads_every_module_and_binds_none_of_their_names():
     assert set(probe["loaded"]) >= {f"cantorq.{m}" for m in MODULES}
     assert probe["bound"] == []
     assert probe["heavy"] == []
+    assert probe["parsers"] == 0
