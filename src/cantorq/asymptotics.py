@@ -14,11 +14,14 @@ exact module, from the logs of those integers and N / (144 * 18**l).
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from . import closedform
 from .constraint import check_n
+
+#: The last level whose coefficient is a float: at n = 2**l it is 2**(l-1) +
+#: 1/2 + (4/9)**l / 16, increasing in l, so no sample up to here can fail.
+MAX_LEVEL = 1024
 
 
 class AsymptoticSample(NamedTuple):
@@ -36,12 +39,10 @@ def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
 
 
 def dimension_sequence(max_level: int) -> Iterator[AsymptoticSample]:
-    """Samples at n = 2**l for l = 1..max_level; dim_estimate approaches 2.
-    The one at max_level is made at the call; the iterator yields the others,
-    from one sweep, then it.  If any sample fails, it does: logs of positive
-    ints cannot, and the coefficient 2**(l-1) + 1/2 + (4/9)**l / 16 grows with
-    l, so its rounded float overflows there first, and "p/q" fits str to 2762."""
+    """Samples at n = 2**l for l = 1..max_level, from one sweep, as they are
+    pulled; dim_estimate approaches 2.  Raises ValueError past MAX_LEVEL."""
     check_n(max_level, "max_level")
-    top = _sample(n := 2 ** max_level, closedform.error_pairs(n))
-    ns = [2 ** l for l in range(1, max_level)]
-    return chain(map(_sample, ns, closedform.error_pairs_sweep(ns)), [top])
+    if max_level > MAX_LEVEL:
+        raise ValueError(f"max_level must be <= {MAX_LEVEL}")
+    ns = [2 ** l for l in range(1, max_level + 1)]
+    return map(_sample, ns, closedform.error_pairs_sweep(ns))

@@ -2,9 +2,10 @@
 
 Every command writes one machine-readable record to stdout, as JSON (default)
 or CSV; main builds one parser per process.  Rationals are canonical "p/q",
-floats have 12 significant digits.  No record holds more than MAX_RECORD_ROWS
-rows.  Both formats are written row by row, once no step left can fail, and
-each row is made as it is written but verify's, whose all_pass needs them all;
+floats have 12 significant digits.  Every flag is checked against its cap
+before any work, so no record holds more than MAX_RECORD_ROWS rows, no streamed
+row can fail, and both formats are written row by row, each made as written
+but verify's, whose all_pass needs them all;
 a JSON record has the bytes of json.dumps(record, sort_keys=True, indent=2), a
 _Raw field (a set's points) gets its own write, and a CSV row is one `%` over
 one row template per CSV record.  Exit codes: 0 success, 1 verification
@@ -16,14 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import asymptotics, closedform, constraint, oracle
 
 #: Rows of the largest record: point rows of `optimal-set` (n times the
-#: number of split sets), or rows of `error-table`, `verify` and `asymptotics`.
+#: number of split sets), or rows of `error-table` and `verify`.
 MAX_RECORD_ROWS = 2 ** 16
 
 #: Highest `verify --level`: the DP enumerates all 2**level centroids.
@@ -36,7 +36,7 @@ VERIFY_BUDGET = 2 ** 21
 
 #: The inclusive upper bound of each integer flag; constraint.check_n's is 1.
 FLAG_BOUNDS = {"n": MAX_RECORD_ROWS, "max_n": MAX_RECORD_ROWS,
-               "level": MAX_ENUM_LEVEL, "max_level": MAX_RECORD_ROWS}
+               "level": MAX_ENUM_LEVEL, "max_level": asymptotics.MAX_LEVEL}
 
 
 def _point_texts(n: int, den: int, feet, form: str) -> dict[int, str]:
@@ -183,11 +183,9 @@ def cmd_error_table(args) -> int:
     def row(n, pairs):  # pairs in lowest terms: no gcd
         v, e, _ = pairs
         return [n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
-    # no row can fail (README), but the one at max-n is made before the first
-    # byte all the same; rows 1..max-n-1 then stream from one sweep
-    top, ns = row(args.max_n, closedform.error_pairs(args.max_n)), range(1, args.max_n)
-    rows = chain(map(row, ns, closedform.error_pairs_sweep(ns)), [top])
-    _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
+    ns = range(1, args.max_n + 1)  # no row can fail (README)
+    _emit(args, ["n", "v_exact", "v_float", "excess"],
+          map(row, ns, closedform.error_pairs_sweep(ns)))
     return 0
 
 

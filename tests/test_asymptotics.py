@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cantorq import asymptotics
-from cantorq.asymptotics import dimension_sequence
-from cantorq.closedform import error_pairs_sweep, quantization_error
+from cantorq import asymptotics, closedform
+from cantorq.asymptotics import MAX_LEVEL, dimension_sequence
+from cantorq.closedform import error_pairs, error_pairs_sweep, quantization_error
 from reference import power_of_two_error
 
 F = Fraction
@@ -25,7 +26,7 @@ def test_v_infinity_cross_checks():
 
 @pytest.fixture(scope="module")
 def samples():
-    return list(dimension_sequence(1024))
+    return list(dimension_sequence(MAX_LEVEL))
 
 
 def test_sample_level_one(samples):
@@ -86,15 +87,18 @@ def test_coefficient_sequence_diverges():
 
 
 def test_coefficient_is_the_rounded_exact_value(samples):
-    # every power of two up to 2**1024, the last whose coefficient is a float
+    # every power of two up to 2**MAX_LEVEL, so every sample the cap allows
+    assert len(samples) == MAX_LEVEL
     for l, s in enumerate(samples, start=1):
         assert s.n == 2 ** l
+        assert math.isfinite(s.dim_estimate) and math.isfinite(s.coeff_estimate)
         assert s.coeff_estimate == float(s.n * s.n * F(*s.excess))
 
 
 def test_power_of_two_coefficients_increase():
-    # the lemma behind making the sample at max-level first: n**2 * excess
-    # at n = 2**l is 2**(l-1) + 1/2 + (4/9)**l / 16, strictly increasing in l
+    # the lemma behind the cap: n**2 * excess at n = 2**l is
+    # 2**(l-1) + 1/2 + (4/9)**l / 16, strictly increasing in l, so the first
+    # level whose coefficient overflows a float is the last one sampled
     levels = range(1, 1101)
     coeffs = [c for _, _, c in error_pairs_sweep([2 ** l for l in levels])]
     for l, (num, den) in zip(levels, coeffs):
@@ -103,17 +107,20 @@ def test_power_of_two_coefficients_increase():
         assert n1 * d0 > n0 * d1
 
 
-def test_a_failing_max_level_fails_at_its_first_sample(monkeypatch):
-    # no other sample, and no power of two below 2**65536, is made
-    calls, sample = [], asymptotics._sample
-    monkeypatch.setattr(asymptotics, "_sample",
-                        lambda n, pairs: calls.append(n) or sample(n, pairs))
-    with pytest.raises(OverflowError):
-        dimension_sequence(2 ** 16)
-    assert [n.bit_length() - 1 for n in calls] == [2 ** 16]  # levels
+@pytest.mark.parametrize("max_level", [MAX_LEVEL + 1, 2 ** 16])
+def test_a_level_above_the_cap_makes_no_sample(monkeypatch, max_level):
+    # refused at the call: no sample and no sweep, so no list of 2**16
+    # powers of two either
+    calls = []
+    monkeypatch.setattr(asymptotics, "_sample", lambda *a: calls.append(a))
+    monkeypatch.setattr(closedform, "error_pairs_sweep",
+                        lambda ns: calls.append(ns) or iter(()))
+    with pytest.raises(ValueError, match=f"<= {MAX_LEVEL}"):
+        dimension_sequence(max_level)
+    assert calls == []
 
 
-@pytest.mark.parametrize("max_level", [*range(1, 41), 1024])
+@pytest.mark.parametrize("max_level", [*range(1, 41), MAX_LEVEL])
 def test_samples_come_in_level_order(max_level):
     ns = [2 ** l for l in range(1, max_level + 1)]
     expected = list(map(asymptotics._sample, ns, error_pairs_sweep(ns)))
@@ -121,8 +128,14 @@ def test_samples_come_in_level_order(max_level):
 
 
 def test_coefficient_overflows_past_level_1024():
+    # the cap is derived: the last level whose coefficient, the third pair of
+    # error_pairs at n = 2**l, is a float quotient
+    assert MAX_LEVEL == 1024
+    num, den = error_pairs(2 ** MAX_LEVEL)[2]
+    assert math.isfinite(num / den)
+    num, den = error_pairs(2 ** (MAX_LEVEL + 1))[2]
     with pytest.raises(OverflowError):
-        dimension_sequence(1025)
+        num / den
 
 
 def test_sequences_reject_bad_arguments():

@@ -359,17 +359,19 @@ def _peak_rss(*argv):
     return code, peak_kib, run.stderr
 
 
-def test_asymptotics_at_the_cap_fails_before_any_other_sample(capsys):
-    # the sample at max-level overflows first, so none of the 65535 powers of
-    # two below it is built (5 s and a 294 MB peak while every sample came
-    # first), and no byte of the record is written
-    argv = ["asymptotics", "--kind", "dimension", "--max-level", "65536"]
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind", ["dimension", "coefficient"])
+@pytest.mark.parametrize("level", [asymptotics.MAX_LEVEL + 1, 2 ** 16])
+def test_asymptotics_above_the_cap_is_a_usage_error(capsys, level, kind, fmt):
+    # refused before any work: past the cap the coefficient overflows a
+    # float, and the powers of two to 2**65536 alone would take 288 MB
+    argv = ["asymptotics", "--kind", kind, "--max-level", str(level),
+            "--format", fmt]
     code, peak_kib, err = _peak_rss(*argv)
-    assert code == 1
-    assert peak_kib < 40 * 1024
-    assert err.splitlines()[-1].startswith("OverflowError")
-    with pytest.raises(OverflowError):
-        main(argv)
+    assert code == 2
+    assert err.splitlines() == [f"error: --max-level {level} exceeds the cap 1024"]
+    assert peak_kib < 20 * 1024
+    assert main(argv) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -590,6 +592,9 @@ def argvs(draw):
 @example(["verify", "--max-n", str(2 ** 16 + 1), "--level", "20"])
 @example(["asymptotics", "--kind", "dimension",
           "--max-level", str(2 ** 16 + 1)])
+@example(["asymptotics", "--kind", "coefficient", "--max-level", "1025"])
+@example(["asymptotics", "--kind", "dimension", "--max-level", "1024",
+          "--plot-data"])
 @example(["optimal-set", "--n", "x"])
 @example(["optimal-set", "--n", "3", "--split-set", "1\r\n2\u2028"])
 @example(["error-table"])
@@ -612,13 +617,6 @@ def test_every_argv_gives_one_record_or_one_error(argv):
         record = json.loads(out)
         assert record["command"] == argv[0]
         assert set(record) == {"command", "parameters", "results"}
-
-
-@pytest.mark.xfail(raises=OverflowError,
-                   reason="ROADMAP item 5: the coefficient n**2 * excess "
-                          "overflows a float past level 1024")
-def test_asymptotics_past_level_1024():
-    main(["asymptotics", "--kind", "dimension", "--max-level", "1025"])
 
 
 # text draws quotes, backslashes, control characters, non-ASCII characters
@@ -724,9 +722,9 @@ def test_emit_csv_rows_are_their_fields_joined_by_commas(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_error_table_makes_the_row_at_max_n_first(capsys, monkeypatch, fmt):
-    # error_pairs(max-n) before the first byte, then one sweep over
-    # 1..max-n-1, each row written before the next pair is made
+def test_error_table_streams_from_one_sweep(capsys, monkeypatch, fmt):
+    # one sweep over 1..max-n, each row written before the next pair is
+    # pulled, and no error_pairs call
     sweep, calls, out = closedform.error_pairs_sweep, [], []
 
     def written():  # the rows on stdout so far
@@ -734,56 +732,19 @@ def test_error_table_makes_the_row_at_max_n_first(capsys, monkeypatch, fmt):
         text = "".join(out)
         return text.count('"n": ') if fmt == "json" else max(text.count("\n") - 2, 0)
 
-    def pairs(n):
-        calls.append(("error_pairs", n, written()))
-        return next(sweep((n,)))
-
     def swept(ns):
         calls.append(("sweep", list(ns)))
         for n, p in zip(ns, sweep(ns)):
             calls.append(("pull", n, written()))
             yield p
 
-    monkeypatch.setattr(closedform, "error_pairs", pairs)
+    monkeypatch.setattr(closedform, "error_pairs",
+                        lambda n: calls.append(("error_pairs", n)))
     monkeypatch.setattr(closedform, "error_pairs_sweep", swept)
     assert main(["error-table", "--max-n", "5", "--format", fmt]) == 0
-    assert out[0] == ""
-    assert calls == [("error_pairs", 5, 0), ("sweep", [1, 2, 3, 4]),
-                     *(("pull", n, n - 1) for n in range(1, 5))]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
-    sweep = closedform.error_pairs_sweep
-
-    def failing(ns):
-        for n, pairs in zip(ns, sweep(ns)):
-            if n == 5:
-                raise RuntimeError("at max-n")
-            yield pairs
-
-    monkeypatch.setattr(closedform, "error_pairs_sweep", failing)
-    with pytest.raises(RuntimeError, match="at max-n"):
-        main(["error-table", "--max-n", "5", "--format", fmt])
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_failing_sample_writes_no_partial_record(capsys, monkeypatch, fmt):
-    # the sample at max-level is made before the first byte, and it fails
-    # if any sample does (asymptotics.dimension_sequence)
-    sample = asymptotics._sample
-
-    def failing(n, pairs):
-        if n == 2 ** 5:
-            raise OverflowError("at max-level")
-        return sample(n, pairs)
-
-    monkeypatch.setattr(asymptotics, "_sample", failing)
-    with pytest.raises(OverflowError, match="at max-level"):
-        main(["asymptotics", "--kind", "dimension", "--max-level", "5",
-              "--format", fmt])
-    assert capsys.readouterr().out == ""
+    assert calls == [("sweep", [1, 2, 3, 4, 5]),
+                     *(("pull", n, n - 1) for n in range(1, 6))]
+    assert written() == 5
 
 
 @pytest.mark.parametrize("argv", [
