@@ -722,9 +722,9 @@ def test_emit_csv_rows_are_their_fields_joined_by_commas(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_error_table_streams_from_one_sweep(capsys, monkeypatch, fmt):
-    # one sweep over 1..max-n, each row written before the next pair is
-    # pulled, and no error_pairs call
+def test_error_table_makes_the_row_at_max_n_first(capsys, monkeypatch, fmt):
+    # error_pairs(max-n) before the first byte, then one sweep over
+    # 1..max-n-1, each row written before the next pair is made
     sweep, calls, out = closedform.error_pairs_sweep, [], []
 
     def written():  # the rows on stdout so far
@@ -732,19 +732,38 @@ def test_error_table_streams_from_one_sweep(capsys, monkeypatch, fmt):
         text = "".join(out)
         return text.count('"n": ') if fmt == "json" else max(text.count("\n") - 2, 0)
 
+    def pairs(n):
+        calls.append(("error_pairs", n, written()))
+        return next(sweep((n,)))
+
     def swept(ns):
         calls.append(("sweep", list(ns)))
         for n, p in zip(ns, sweep(ns)):
             calls.append(("pull", n, written()))
             yield p
 
-    monkeypatch.setattr(closedform, "error_pairs",
-                        lambda n: calls.append(("error_pairs", n)))
+    monkeypatch.setattr(closedform, "error_pairs", pairs)
     monkeypatch.setattr(closedform, "error_pairs_sweep", swept)
     assert main(["error-table", "--max-n", "5", "--format", fmt]) == 0
-    assert calls == [("sweep", [1, 2, 3, 4, 5]),
-                     *(("pull", n, n - 1) for n in range(1, 6))]
-    assert written() == 5
+    assert out[0] == ""
+    assert calls == [("error_pairs", 5, 0), ("sweep", [1, 2, 3, 4]),
+                     *(("pull", n, n - 1) for n in range(1, 5))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failing_row_writes_no_partial_record(capsys, monkeypatch, fmt):
+    sweep = closedform.error_pairs_sweep
+
+    def failing(ns):
+        for n, pairs in zip(ns, sweep(ns)):
+            if n == 5:
+                raise RuntimeError("at max-n")
+            yield pairs
+
+    monkeypatch.setattr(closedform, "error_pairs_sweep", failing)
+    with pytest.raises(RuntimeError, match="at max-n"):
+        main(["error-table", "--max-n", "5", "--format", fmt])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
