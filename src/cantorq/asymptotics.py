@@ -8,7 +8,7 @@ tends to 2 while the coefficient n**2 * excess grows without bound.
 
 A sample's `v_n` and `excess` are the reduced integer pairs of
 `closedform.error_pairs`; its estimates are floats, as in `cli` and in no
-exact module, from the logs of those integers and N / (144 * 18**l).
+exact module, from the logs of those integers and p n**2 / q, p/q the excess.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ class AsymptoticSample(NamedTuple):
     coeff_estimate: float
 
 
-def _sample(n: int, pairs: tuple[tuple[int, int], ...]) -> AsymptoticSample:
-    v, (p, q), (num, den) = pairs
+def _sample(n: int, pairs: tuple[tuple[int, int], tuple[int, int]]) -> AsymptoticSample:
+    v, (p, q) = pairs
     dim = 2 * math.log(n) / (math.log(q) - math.log(p))
-    return AsymptoticSample(n, v, (p, q), dim, num / den)
+    return AsymptoticSample(n, v, (p, q), dim, p * n * n / q)
 
 
 def dimension_sequence(max_level: int) -> Iterator[AsymptoticSample]:

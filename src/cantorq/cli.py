@@ -5,7 +5,7 @@ or CSV; main builds one parser per process.  Rationals are canonical "p/q",
 floats have 12 significant digits.  Every flag is checked against its cap
 before any work, so no record holds more than MAX_RECORD_ROWS rows, no streamed
 row can fail, and both formats are written row by row, each made as written
-but verify's, whose all_pass needs them all, and error-table's at max-n;
+but verify's, whose all_pass needs them all;
 a JSON record has the bytes of json.dumps(record, sort_keys=True, indent=2), a
 _Raw field (a set's points) gets its own write, and a CSV row is one `%` over
 one row template per CSV record.  Exit codes: 0 success, 1 verification
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -182,13 +181,11 @@ def cmd_optimal_set(args) -> int:
 
 def cmd_error_table(args) -> int:
     def row(n, pairs):  # pairs in lowest terms: no gcd
-        v, e, _ = pairs
+        v, e = pairs
         return [n, "%d/%d" % v, fmt_float(v[0] / v[1]), "%d/%d" % e]
-    # no row can fail (README), but the one at max-n is made before the first
-    # byte all the same; rows 1..max-n-1 then stream from one sweep
-    top, ns = row(args.max_n, closedform.error_pairs(args.max_n)), range(1, args.max_n)
-    rows = chain(map(row, ns, closedform.error_pairs_sweep(ns)), [top])
-    _emit(args, ["n", "v_exact", "v_float", "excess"], rows)
+    ns = range(1, args.max_n + 1)  # no row can fail (README)
+    _emit(args, ["n", "v_exact", "v_float", "excess"],
+          map(row, ns, closedform.error_pairs_sweep(ns)))
     return 0
 
 
@@ -200,7 +197,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"(max-n - 1) * 2**level exceeds the work budget "
                             f"{VERIFY_BUDGET}")
     rows, ns = [], range(1, args.max_n + 1)
-    for n, (dp_set, dp_value), (closed, _, _) in zip(ns, oracle.dp_optimal_upto(
+    for n, (dp_set, dp_value), (closed, _) in zip(ns, oracle.dp_optimal_upto(
             args.max_n, args.level), closedform.error_pairs_sweep(ns)):
         try:
             alpha = closedform.build_alpha(n)

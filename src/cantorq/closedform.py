@@ -100,24 +100,23 @@ def unconstrained_error(n: int) -> Fraction:
     return Fraction(17 * 2 ** l - 8 * n, 72 * 18 ** l)
 
 
-def error_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """V_n, V_n - 3/16 and n**2 (V_n - 3/16) as integer pairs (numerator,
-    denominator), the first two in lowest terms, from one build of the excess
-    N / (144 * 18**l * n**2), N = r n**2 + 72 * 18**l (n + 1), r = 17 * 2**l
-    - 8n.  For n = 2**a 3**b w, w prime to 6, the denominator is
-    2**(l+4+2a) 3**(2l+2+2b) w**2; a prime of w divides N's first term, not
-    its n-free one, which has the factor n + 1.  So N shares min(v2(N),
-    l+4+2a) 2s with it and, as N = r n**2 (mod 3**(2l+2)), j = v3(r) + 2b 3s:
-    j < 2l + 2 for l >= 18, as 3**j <= r n**2 < 17 * 2**l * 4**(l+1) <
-    9**(l+1), and for every n < 2**18 but 1, whose N = 9 * 17 has j = 2 3s
-    too (the tests check both); v3(r) is v3(r / 2**a).  N / 3**j is built
-    from 3**(2l+2-j), each product by n or 18**l one by n's odd part and a
-    shift.  V_n = (16p + 3q) / (16q), p/q the excess, shares only 2s: no odd
-    prime of q divides 16p."""
+def error_pairs(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """V_n and V_n - 3/16, two integer pairs (numerator, denominator) in
+    lowest terms, from one build of the excess N / (144 * 18**l * n**2),
+    N = r n**2 + 72 * 18**l (n + 1), r = 17 * 2**l - 8n.  For n = 2**a 3**b w,
+    w prime to 6, the denominator is 2**(l+4+2a) 3**(2l+2+2b) w**2; a prime
+    of w divides N's first term, not its n-free one, which has the factor
+    n + 1.  So N shares min(v2(N), l+4+2a) 2s with it and, as N = r n**2
+    (mod 3**(2l+2)), j = v3(r) + 2b 3s: j < 2l + 2 for l >= 18, as
+    3**j <= r n**2 < 17 * 2**l * 4**(l+1) < 9**(l+1), and for every n < 2**18
+    but 1, whose N = 9 * 17 has j = 2 3s too (the tests check both); v3(r) is
+    v3(r / 2**a).  N / 3**j is built from 3**(2l+2-j), each product by n or
+    18**l one by n's odd part and a shift.  V_n = (16p + 3q) / (16q), p/q the
+    excess, shares only 2s: no odd prime of q divides 16p."""
     return next(error_pairs_sweep((n,)))
 
 
-def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """error_pairs(n) for each n of ns in turn, with 3**(2l+2) carried from
     one n to the next: times 9 per level up, a fresh power if the level drops."""
     l, nines = -1, 1  # 3**(2l+2) at l = -1
@@ -139,7 +138,7 @@ def error_pairs_sweep(ns: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]
         p, q = big >> twos, ko * odd << e2 - twos
         s = 16 * p + 3 * q
         twos = min((s & -s).bit_length() - 1, e2 + 4 - twos)
-        yield (s >> twos, q << 4 >> twos), (p, q), (big * three, nines << l + 4)
+        yield (s >> twos, q << 4 >> twos), (p, q)
 
 
 def quantization_error(n: int) -> Fraction:

@@ -175,9 +175,10 @@ def dp_optimal_upto(max_n: int, level: int) -> list[tuple[PointSet, Fraction]]:
     # and arg[g][i] of each filled row; layer 1 is one group, ending at m
     off = [0] * (max_n + 1)
     vnum, vden, arg = [[] for _ in off], [[] for _ in off], [array("I") for _ in off]
-    vnum[1] = [(pref[m] - pref[i]) ** 2 for i in range(m)]
-    vden[1], arg[1] = list(range(m, 0, -1)), array("I", [m]) * m
     stack = [(max_n, 0)] if max_n > 1 else []
+    rows1 = m if stack else 0  # n = 1 is one group, read from pref alone
+    vnum[1] = [(pref[m] - pref[i]) ** 2 for i in range(rows1)]
+    vden[1], arg[1] = list(range(m, m - rows1, -1)), array("I", [m]) * rows1
     while stack:
         g, r = stack[-1]
         parg = arg[g - 1]

@@ -100,7 +100,8 @@ def test_power_of_two_coefficients_increase():
     # 2**(l-1) + 1/2 + (4/9)**l / 16, strictly increasing in l, so the first
     # level whose coefficient overflows a float is the last one sampled
     levels = range(1, 1101)
-    coeffs = [c for _, _, c in error_pairs_sweep([2 ** l for l in levels])]
+    ns = [2 ** l for l in levels]
+    coeffs = [(p * n * n, q) for n, (_, (p, q)) in zip(ns, error_pairs_sweep(ns))]
     for l, (num, den) in zip(levels, coeffs):
         assert 16 * 9 ** l * num == (8 * 9 ** l * (2 ** l + 1) + 4 ** l) * den
     for (n0, d0), (n1, d1) in zip(coeffs, coeffs[1:]):
@@ -128,14 +129,14 @@ def test_samples_come_in_level_order(max_level):
 
 
 def test_coefficient_overflows_past_level_1024():
-    # the cap is derived: the last level whose coefficient, the third pair of
-    # error_pairs at n = 2**l, is a float quotient
+    # the cap is derived: the last level whose coefficient p n**2 / q, p/q the
+    # excess pair of error_pairs at n = 2**l, is a float quotient
     assert MAX_LEVEL == 1024
-    num, den = error_pairs(2 ** MAX_LEVEL)[2]
-    assert math.isfinite(num / den)
-    num, den = error_pairs(2 ** (MAX_LEVEL + 1))[2]
+    p, q = error_pairs(n := 2 ** MAX_LEVEL)[1]
+    assert math.isfinite(p * n * n / q)
+    p, q = error_pairs(n := 2 ** (MAX_LEVEL + 1))[1]
     with pytest.raises(OverflowError):
-        num / den
+        p * n * n / q
 
 
 def test_sequences_reject_bad_arguments():

@@ -361,18 +361,17 @@ def test_pairs_are_in_lowest_terms(ns):
     for n in ns:
         f = _graf_luschgy(n) / 2 + F(n + 1, 2 * n * n)
         g = f + F(3, 16)
-        v, e, _ = error_pairs(n)
+        v, e = error_pairs(n)
         assert v == (g.numerator, g.denominator)
         assert e == (f.numerator, f.denominator)
 
 
 @pytest.mark.parametrize("ns", EXPANSION_NS.values(), ids=EXPANSION_NS)
 def test_excess_is_error_minus_limit(ns):
-    # V_n - 3/16 = p/q and n**2 p/q = N / (144 * 18**l), across in integers
+    # V_n - 3/16 = p/q, across in integers
     for n in ns:
-        v, (p, q), (num, den) = error_pairs(n)
+        v, (p, q) = error_pairs(n)
         assert v[0] * 16 * q == (16 * p + 3 * q) * v[1]
-        assert num * q == n * n * p * den and den == 144 * 18 ** level_of(n)
         assert quantization_error(n) == F(*v)
 
 

@@ -513,6 +513,18 @@ def test_dp_keeps_two_layers_of_values():
     assert peak < 0.2 * 2 ** 20
 
 
+def test_dp_builds_no_layer_for_one_group():
+    # n = 1 reads pref alone: 0.32 MiB here, and 0.51 MiB with layer 1's
+    # 2**12 values and pointers built all the same
+    tracemalloc.start()
+    try:
+        dp_optimal_upto(1, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 2 ** 20
+
+
 def test_dp_keeps_only_live_rows_of_values():
     # the eager fill, two layers of every row, peaked at 0.42 MiB here (Python
     # 3.10-3.13) and the live rows at 0.21-0.22 MiB; keeping every filled row
